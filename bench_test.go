@@ -45,26 +45,26 @@ func runAlg(b *testing.B, g *graph.Graph, alg core.Algorithm, supersteps int, cf
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := g.Clone()
-		if _, err := core.Run(c, alg, supersteps, cfg); err != nil {
+		if _, err := core.Run(c.N(), c.Edges(), alg, supersteps, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.SetBytes(int64(g.M()) * 8 * int64(supersteps))
 }
 
-// BenchmarkTable4 regenerates Table 4 (Figure 4): all implementations,
-// 20 supersteps, on the power-law workload; P=1 and P=4 variants for the
-// parallel implementations.
+// BenchmarkTable4 regenerates Table 4 (Figure 4) for the engine's
+// chains: 20 supersteps on the power-law workload; P=1 and P=4 variants
+// for the parallel implementations. The experiment-only baselines
+// (adjacency lists, NaiveParES) are benchmarked with their drivers in
+// cmd/experiments (BenchmarkBaselines).
 func BenchmarkTable4(b *testing.B) {
 	pld, _, _ := benchGraphs(b)
-	for _, alg := range []core.Algorithm{
-		core.AlgAdjListES, core.AlgAdjSortES, core.AlgSeqES, core.AlgSeqGlobalES,
-	} {
+	for _, alg := range []core.Algorithm{core.AlgSeqES, core.AlgSeqGlobalES} {
 		b.Run(alg.String(), func(b *testing.B) {
 			runAlg(b, pld, alg, 20, core.Config{Seed: 1, Prefetch: true})
 		})
 	}
-	for _, alg := range []core.Algorithm{core.AlgNaiveParES, core.AlgParES, core.AlgParGlobalES} {
+	for _, alg := range []core.Algorithm{core.AlgParES, core.AlgParGlobalES} {
 		for _, p := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/P%d", alg, p), func(b *testing.B) {
 				runAlg(b, pld, alg, 20, core.Config{Seed: 1, Workers: p})
@@ -165,7 +165,7 @@ func BenchmarkFig9Rounds(b *testing.B) {
 			var steps int
 			for i := 0; i < b.N; i++ {
 				c := w.g.Clone()
-				stats, err := core.Run(c, core.AlgParGlobalES, 5,
+				stats, err := core.Run(c.N(), c.Edges(), core.AlgParGlobalES, 5,
 					core.Config{Seed: 1, Workers: 4, PessimisticRounds: true})
 				if err != nil {
 					b.Fatal(err)
@@ -176,18 +176,6 @@ func BenchmarkFig9Rounds(b *testing.B) {
 			b.ReportMetric(float64(rounds)/float64(steps), "rounds/superstep")
 		})
 	}
-}
-
-// BenchmarkAblationSampling compares §5.3's two edge-sampling options in
-// SeqES: the auxiliary edge array vs direct random-bucket probing.
-func BenchmarkAblationSampling(b *testing.B) {
-	_, gnp, _ := benchGraphs(b)
-	b.Run("array", func(b *testing.B) {
-		runAlg(b, gnp, core.AlgSeqES, 10, core.Config{Seed: 1})
-	})
-	b.Run("buckets", func(b *testing.B) {
-		runAlg(b, gnp, core.AlgSeqES, 10, core.Config{Seed: 1, SampleViaBuckets: true})
-	})
 }
 
 // BenchmarkAblationPermutation compares the sequential Fisher-Yates

@@ -59,6 +59,7 @@ type benchReport struct {
 	GoMaxProcs int           `json:"go_max_procs"`
 	Hardware   benchHardware `json:"hardware"`
 	Nodes      int           `json:"nodes"`
+	Scale      float64       `json:"scale"`
 	EdgesUndir int           `json:"edges_undirected"`
 	ArcsDir    int           `json:"arcs_directed"`
 	Quick      bool          `json:"quick"`
@@ -170,6 +171,7 @@ func bench(opt options) error {
 		n = 1 << 11
 		supersteps = 3
 	}
+	n = int(float64(n) * opt.scale)
 	ug, err := gesmc.GeneratePowerLaw(n, 2.2, opt.seed)
 	if err != nil {
 		return err
@@ -193,6 +195,7 @@ func bench(opt options) error {
 			CacheDetected: topo.Detected,
 		},
 		Nodes:      n,
+		Scale:      opt.scale,
 		EdgesUndir: ug.M(),
 		ArcsDir:    dg.M(),
 		Quick:      opt.quick,

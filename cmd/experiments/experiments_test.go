@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"testing"
 )
@@ -84,8 +85,18 @@ func TestBenchDriver(t *testing.T) {
 	if err := bench(quickOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(benchOut); err != nil {
+	data, err := os.ReadFile(benchOut)
+	if err != nil {
 		t.Fatalf("bench JSON not written: %v", err)
+	}
+	var rep benchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	// -scale multiplies the quick workload's 2^11 nodes.
+	if opt := quickOptions(); rep.Nodes != int(float64(1<<11)*opt.scale) || rep.Scale != opt.scale {
+		t.Fatalf("report nodes=%d scale=%v, want %d nodes at scale %v",
+			rep.Nodes, rep.Scale, int(float64(1<<11)*opt.scale), opt.scale)
 	}
 }
 

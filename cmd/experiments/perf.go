@@ -15,8 +15,39 @@ import (
 func timeRun(g *graph.Graph, alg core.Algorithm, supersteps int, cfg core.Config) (time.Duration, *core.RunStats, error) {
 	c := g.Clone()
 	start := time.Now()
-	stats, err := core.Run(c, alg, supersteps, cfg)
+	stats, err := core.Run(c.N(), c.Edges(), alg, supersteps, cfg)
 	return time.Since(start), stats, err
+}
+
+// column is one implementation timed by Table 4: an engine chain, or
+// one of the experiment-only baselines (baselines.go).
+type column struct {
+	name string
+	// run randomizes g in place; baselines read only cfg's Seed and
+	// Workers.
+	run func(g *graph.Graph, supersteps int, cfg core.Config) error
+}
+
+func engineColumn(alg core.Algorithm) column {
+	return column{shortName(alg), func(g *graph.Graph, supersteps int, cfg core.Config) error {
+		_, err := core.Run(g.N(), g.Edges(), alg, supersteps, cfg)
+		return err
+	}}
+}
+
+func baselineColumn(name string, b baseline) column {
+	return column{name, func(g *graph.Graph, supersteps int, cfg core.Config) error {
+		runBaseline(g, b, supersteps, cfg.Seed, cfg.Workers)
+		return nil
+	}}
+}
+
+// timeColumn clones g and times one column's run on the clone.
+func timeColumn(g *graph.Graph, col column, supersteps int, cfg core.Config) (time.Duration, error) {
+	c := g.Clone()
+	start := time.Now()
+	err := col.run(c, supersteps, cfg)
+	return time.Since(start), err
 }
 
 // table4 reproduces Table 4 (Figure 4): absolute runtimes of all
@@ -36,41 +67,42 @@ func table4(opt options) error {
 	}
 	pMax := opt.workers
 
-	seqAlgs := []core.Algorithm{
-		core.AlgAdjListES, core.AlgAdjSortES, core.AlgSeqES, core.AlgSeqGlobalES,
+	seqAlgs := []column{
+		baselineColumn("AdjListES", adjListES), baselineColumn("AdjSortES", adjSortES),
+		engineColumn(core.AlgSeqES), engineColumn(core.AlgSeqGlobalES),
 	}
-	parAlgs := []core.Algorithm{core.AlgNaiveParES, core.AlgParGlobalES}
+	parAlgs := []column{baselineColumn("Naive", naiveParES), engineColumn(core.AlgParGlobalES)}
 
 	fmt.Printf("%-20s %-9s %-9s %-6s |", "graph", "n", "m", "dmax")
 	for _, a := range seqAlgs {
-		fmt.Printf(" %-10s", a)
+		fmt.Printf(" %-10s", a.name)
 	}
 	for _, a := range parAlgs {
-		fmt.Printf(" %-11s", fmt.Sprintf("%s/P1", shortName(a)))
+		fmt.Printf(" %-11s", fmt.Sprintf("%s/P1", a.name))
 	}
 	for _, a := range parAlgs {
-		fmt.Printf(" %-11s", fmt.Sprintf("%s/P%d", shortName(a), pMax))
+		fmt.Printf(" %-11s", fmt.Sprintf("%s/P%d", a.name, pMax))
 	}
 	fmt.Println()
 
 	for _, c := range corpus {
 		fmt.Printf("%-20s %-9d %-9d %-6d |", c.Name, c.G.N(), c.G.M(), c.G.MaxDegree())
 		for _, a := range seqAlgs {
-			d, _, err := timeRun(c.G, a, supersteps, core.Config{Seed: opt.seed, Prefetch: true})
+			d, err := timeColumn(c.G, a, supersteps, core.Config{Seed: opt.seed, Prefetch: true})
 			if err != nil {
 				return err
 			}
 			fmt.Printf(" %-10s", fmtDur(d))
 		}
 		for _, a := range parAlgs {
-			d, _, err := timeRun(c.G, a, supersteps, core.Config{Seed: opt.seed, Workers: 1})
+			d, err := timeColumn(c.G, a, supersteps, core.Config{Seed: opt.seed, Workers: 1})
 			if err != nil {
 				return err
 			}
 			fmt.Printf(" %-11s", fmtDur(d))
 		}
 		for _, a := range parAlgs {
-			d, _, err := timeRun(c.G, a, supersteps, core.Config{Seed: opt.seed, Workers: pMax})
+			d, err := timeColumn(c.G, a, supersteps, core.Config{Seed: opt.seed, Workers: pMax})
 			if err != nil {
 				return err
 			}
@@ -85,8 +117,6 @@ func table4(opt options) error {
 
 func shortName(a core.Algorithm) string {
 	switch a {
-	case core.AlgNaiveParES:
-		return "Naive"
 	case core.AlgParGlobalES:
 		return "ParGES"
 	case core.AlgParES:

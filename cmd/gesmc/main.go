@@ -60,7 +60,7 @@ func main() {
 		genSpec   = flag.String("gen", "", "generate input: gnp:n=..,p=.. | pld:n=..,gamma=.. | reg:n=..,d=.. | grid:r=..,c=..")
 		outPath   = flag.String("out", "", "write result to file ('-' for stdout); with -samples > 1 and -format edgelist, a pattern containing %d")
 		format    = flag.String("format", "edgelist", "output format: edgelist | ndjson (one wire.Line per sample)")
-		algoName  = flag.String("algo", "ParGlobalES", "algorithm: SeqES|SeqGlobalES|NaiveParES|ParES|ParGlobalES|AdjListES|AdjSortES|Curveball|GlobalCurveball|Exact")
+		algoName  = flag.String("algo", "ParGlobalES", "algorithm: SeqES|SeqGlobalES|ParES|ParGlobalES|Curveball|GlobalCurveball|Exact")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers P")
 		swaps     = flag.Float64("swaps", 10, "switch attempts per edge (burn-in)")
 		steps     = flag.Int("supersteps", 0, "explicit burn-in superstep count (overrides -swaps)")

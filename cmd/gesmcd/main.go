@@ -65,6 +65,13 @@ import (
 	"gesmc/internal/service"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so connections that stall before the request line
+// completes (slowloris) cannot hold server goroutines indefinitely.
+// Request bodies and streamed responses are not affected: an ensemble
+// stream may legitimately run for minutes.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr   = flag.String("addr", "127.0.0.1:8742", "listen address (host:port; port 0 picks a free port)")
@@ -183,7 +190,7 @@ func main() {
 		handler = mux
 	}
 
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 

@@ -72,9 +72,7 @@ func TestConstraintValidationErrors(t *testing.T) {
 		{"forbidden edge present", []Option{WithConstraint(ForbiddenEdges([][2]uint32{{0, 1}}))}, ErrConstraintViolated},
 		{"protected edge missing", []Option{WithConstraint(ProtectedEdges([][2]uint32{{1, 5}}))}, ErrConstraintViolated},
 		{"curveball unsupported", []Option{WithAlgorithm(GlobalCurveball), WithConstraint(Connected())}, ErrUnsupportedConstraint},
-		{"naive unsupported", []Option{WithAlgorithm(NaiveParES), WithConstraint(Connected())}, ErrUnsupportedConstraint},
-		{"adjlist unsupported", []Option{WithAlgorithm(AdjListES), WithConstraint(Connected())}, ErrUnsupportedConstraint},
-		{"buckets unsupported", []Option{WithSampleViaBuckets(true), WithConstraint(Connected())}, ErrUnsupportedConstraint},
+		{"local curveball unsupported", []Option{WithAlgorithm(Curveball), WithConstraint(ForbiddenEdges([][2]uint32{{0, 4}}))}, ErrUnsupportedConstraint},
 	}
 	for _, tc := range cases {
 		if _, err := NewSampler(g.Clone(), tc.opts...); !errors.Is(err, tc.want) {

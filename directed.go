@@ -117,6 +117,12 @@ func (g *DiGraph) LargestComponent() (size, components int) {
 // Clone returns a deep copy.
 func (g *DiGraph) Clone() *DiGraph { return &DiGraph{g: g.g.Clone()} }
 
+// snapshot deep-copies g into a Sample's fields.
+func (g *DiGraph) snapshot() (*Graph, *DiGraph) { return nil, g.Clone() }
+
+// invalidate is a no-op: a DiGraph caches nothing over its arcs.
+func (g *DiGraph) invalidate() {}
+
 // CheckSimple verifies the no-loops/no-parallel-arcs invariant.
 func (g *DiGraph) CheckSimple() error { return g.g.CheckSimple() }
 

@@ -65,7 +65,7 @@ func TestRandomizeDirectedAlgorithms(t *testing.T) {
 			t.Fatalf("%v accepted nothing", alg)
 		}
 	}
-	if _, err := RandomizeDirected(base.Clone(), Options{Algorithm: NaiveParES}); err == nil {
+	if _, err := RandomizeDirected(base.Clone(), Options{Algorithm: ParES}); err == nil {
 		t.Fatal("unsupported directed algorithm accepted")
 	}
 }

@@ -30,14 +30,17 @@
 //	Algorithm        chain     targets              parallel  notes
 //	SeqES            ES-MC     undirected+directed  no        §5 hash set + edge array
 //	SeqGlobalES      G-ES-MC   undirected+directed  no        Definition 3
-//	NaiveParES       ES-MC     undirected           inexact   §5.1 baseline, perf studies only
 //	ParES            ES-MC     undirected           exact     Algorithm 2
 //	ParGlobalES      G-ES-MC   all                  exact     Algorithm 3 — headline, default
-//	AdjListES        ES-MC     undirected           no        NetworKit-style ablation
-//	AdjSortES        ES-MC     undirected           no        Gengraph-style ablation
 //	Curveball        trades    undirected           exact     batched disjoint trades
 //	GlobalCurveball  trades    undirected           exact     superstep global trades
 //	Exact            i.i.d.    undirected           no        provably uniform rejection sampler
+//
+// The four switching chains run on one engine for both target classes
+// (internal/core's Engine, generic over the edge encoding). The paper's
+// experiment-only baselines — the inexact NaiveParES of §5.1 and the
+// adjacency-list stand-ins for NetworKit and Gengraph — are not part of
+// the library: cmd/experiments runs them to reproduce Table 4.
 //
 // "Exact" parallel chains are bit-identical to their sequential
 // references: given the same switch (or trade) sequence they produce

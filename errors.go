@@ -57,8 +57,7 @@ var (
 	ErrInvalidConstraint = errors.New("gesmc: invalid constraint")
 	// ErrUnsupportedConstraint is returned when WithConstraint is
 	// combined with an algorithm outside the constrained set (SeqES,
-	// SeqGlobalES, ParES, ParGlobalES, and the directed chains) or with
-	// WithSampleViaBuckets.
+	// SeqGlobalES, ParES, ParGlobalES, and the directed chains).
 	ErrUnsupportedConstraint = errors.New("gesmc: constraint not supported for this algorithm")
 	// ErrConstraintViolated is returned when the target graph itself
 	// lies outside the constrained state space: it contains a forbidden

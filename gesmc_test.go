@@ -111,6 +111,14 @@ func TestOptionsSuperstepDefaults(t *testing.T) {
 	if s := (Options{Supersteps: 7, SwapsPerEdge: 15}).supersteps(); s != 7 {
 		t.Fatalf("explicit supersteps ignored: %d", s)
 	}
+	// The zero Algorithm is SeqES, not NewSampler's ParGlobalES default.
+	st, err := Randomize(GenerateGNP(40, 0.2, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Algorithm != "SeqES" {
+		t.Fatalf("Options{} ran %q, want SeqES", st.Algorithm)
+	}
 }
 
 func TestParseAlgorithmRoundTrip(t *testing.T) {

@@ -142,6 +142,9 @@ func (g *Graph) HasEdge(u, v uint32) bool {
 // the edge list in place.
 func (g *Graph) invalidate() { g.idx = nil }
 
+// snapshot deep-copies g into a Sample's fields.
+func (g *Graph) snapshot() (*Graph, *DiGraph) { return g.Clone(), nil }
+
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph { return &Graph{g: g.g.Clone()} }
 

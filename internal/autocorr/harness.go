@@ -62,7 +62,8 @@ func Analyze(g *graph.Graph, chain Chain, supersteps int, thinnings []int, loopP
 			core.ExecuteSequential(E, S, sw)
 		case ChainGlobalES:
 			perm, l := core.SampleGlobalSwitch(m, loopProb, src)
-			_, buf = core.ExecuteGlobalSequential(E, S, perm, l, buf)
+			buf = core.GlobalSwitches(perm, l, buf)
+			core.ExecuteSequential(E, S, buf)
 		}
 		record(t)
 	}

@@ -32,7 +32,8 @@ func TestEngineSuperstepAllocs(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.AlgParGlobalES, core.AlgParES} {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%v/workers=%d", alg, workers), func(t *testing.T) {
-				eng, err := core.NewEngine(g.Clone(), alg, core.Config{
+				c := g.Clone()
+				eng, err := core.NewEngine(c.N(), c.Edges(), alg, core.Config{
 					Workers: workers,
 					Seed:    7,
 				})

@@ -8,12 +8,10 @@ import (
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
-var allAlgorithms = []Algorithm{
-	AlgSeqES, AlgSeqGlobalES, AlgNaiveParES, AlgParES, AlgParGlobalES,
-	AlgAdjListES, AlgAdjSortES,
-}
+var allAlgorithms = []Algorithm{AlgSeqES, AlgSeqGlobalES, AlgParES, AlgParGlobalES}
 
 func TestAllAlgorithmsPreserveInvariants(t *testing.T) {
 	src := rng.NewMT19937(11)
@@ -25,7 +23,7 @@ func TestAllAlgorithmsPreserveInvariants(t *testing.T) {
 	for _, alg := range allAlgorithms {
 		for _, workers := range []int{1, 4} {
 			g := base.Clone()
-			stats, err := Run(g, alg, 4, Config{Workers: workers, Seed: 99})
+			stats, err := Run(g.N(), g.Edges(), alg, 4, Config{Workers: workers, Seed: 99})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", alg, workers, err)
 			}
@@ -54,7 +52,7 @@ func TestAllAlgorithmsActuallyRandomize(t *testing.T) {
 	base := gen.GNP(128, 0.08, src)
 	for _, alg := range allAlgorithms {
 		g := base.Clone()
-		if _, err := Run(g, alg, 6, Config{Workers: 2, Seed: 5}); err != nil {
+		if _, err := Run(g.N(), g.Edges(), alg, 6, Config{Workers: 2, Seed: 5}); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		if graph.SameEdgeSet(base, g) {
@@ -69,10 +67,10 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 	for _, alg := range []Algorithm{AlgSeqES, AlgSeqGlobalES, AlgParES, AlgParGlobalES} {
 		a := base.Clone()
 		b := base.Clone()
-		if _, err := Run(a, alg, 3, Config{Workers: 4, Seed: 77}); err != nil {
+		if _, err := Run(a.N(), a.Edges(), alg, 3, Config{Workers: 4, Seed: 77}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(b, alg, 3, Config{Workers: 4, Seed: 77}); err != nil {
+		if _, err := Run(b.N(), b.Edges(), alg, 3, Config{Workers: 4, Seed: 77}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range a.Edges() {
@@ -83,51 +81,6 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestAdjBaselinesMatchSeqESExactly(t *testing.T) {
-	// SeqES, AdjListES and AdjSortES consume randomness identically and
-	// implement the identical chain, so for one seed all three must
-	// produce bit-identical edge lists.
-	src := rng.NewMT19937(14)
-	base := gen.GNP(100, 0.1, src)
-	ref := base.Clone()
-	if _, err := Run(ref, AlgSeqES, 5, Config{Seed: 31}); err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []Algorithm{AlgAdjListES, AlgAdjSortES} {
-		g := base.Clone()
-		if _, err := Run(g, alg, 5, Config{Seed: 31}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref.Edges() {
-			if g.Edges()[i] != ref.Edges()[i] {
-				t.Fatalf("%v diverges from SeqES at edge %d", alg, i)
-			}
-		}
-	}
-}
-
-func TestSeqESBucketSamplingInvariants(t *testing.T) {
-	src := rng.NewMT19937(15)
-	base := gen.GNP(128, 0.1, src)
-	wantDeg := base.Degrees()
-	g := base.Clone()
-	stats, err := Run(g, AlgSeqES, 5, Config{Seed: 3, SampleViaBuckets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.CheckSimple(); err != nil {
-		t.Fatal(err)
-	}
-	for v, d := range g.Degrees() {
-		if d != wantDeg[v] {
-			t.Fatalf("bucket sampling changed degree of %d", v)
-		}
-	}
-	if stats.Legal == 0 {
-		t.Fatal("bucket sampling accepted nothing")
-	}
-}
-
 func TestPrefetchVariantIdenticalResults(t *testing.T) {
 	// Touching buckets must not change any decision.
 	src := rng.NewMT19937(16)
@@ -135,10 +88,10 @@ func TestPrefetchVariantIdenticalResults(t *testing.T) {
 	for _, alg := range []Algorithm{AlgSeqES, AlgSeqGlobalES} {
 		a := base.Clone()
 		b := base.Clone()
-		if _, err := Run(a, alg, 4, Config{Seed: 8}); err != nil {
+		if _, err := Run(a.N(), a.Edges(), alg, 4, Config{Seed: 8}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(b, alg, 4, Config{Seed: 8, Prefetch: true}); err != nil {
+		if _, err := Run(b.N(), b.Edges(), alg, 4, Config{Seed: 8, Prefetch: true}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range a.Edges() {
@@ -161,12 +114,13 @@ func TestGlobalParallelMatchesGlobalSequential(t *testing.T) {
 	seq := g.Clone()
 	seqSet := hashset.FromEdges(seq.Edges(), 0.5)
 	par := g.Clone()
-	runner := NewSuperstepRunner(par.Edges(), m/2, 4)
+	runner := switching.NewRunner(par.Edges(), m/2, 4)
 	var buf []Switch
 	for step := 0; step < 12; step++ {
 		perm, l := SampleGlobalSwitch(m, 0.01, src)
-		_, buf = ExecuteGlobalSequential(seq.Edges(), seqSet, perm, l, buf)
-		buf = ExecuteGlobalParallel(runner, perm, l, buf)
+		buf = GlobalSwitches(perm, l, buf)
+		ExecuteSequential(seq.Edges(), seqSet, buf)
+		runner.Run(buf)
 		for i := range seq.Edges() {
 			if seq.Edges()[i] != par.Edges()[i] {
 				t.Fatalf("step %d: divergence at edge %d", step, i)
@@ -186,7 +140,7 @@ func TestParESMatchesSequentialReplay(t *testing.T) {
 	seqE, _ := runSequentialReference(g, switches)
 
 	par := g.Clone()
-	runner := NewSuperstepRunner(par.Edges(), m/2+1, 4)
+	runner := switching.NewRunner(par.Edges(), m/2+1, 4)
 	minIdx := make([]int32, m)
 	for i := range minIdx {
 		minIdx[i] = -1
@@ -229,7 +183,7 @@ func testUniformOverMatchings(t *testing.T, alg Algorithm, workers, runs, supers
 	counts := map[string]int{}
 	for r := 0; r < runs; r++ {
 		g := base.Clone()
-		if _, err := Run(g, alg, supersteps, Config{Workers: workers, Seed: uint64(r)*2654435761 + 17, LoopProb: 0.05}); err != nil {
+		if _, err := Run(g.N(), g.Edges(), alg, supersteps, Config{Workers: workers, Seed: uint64(r)*2654435761 + 17, LoopProb: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 		counts[matchingKey(g)]++
@@ -271,7 +225,8 @@ func TestRunRejectsTinyGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range allAlgorithms {
-		if _, err := Run(g.Clone(), alg, 1, Config{}); err == nil {
+		c := g.Clone()
+		if _, err := Run(c.N(), c.Edges(), alg, 1, Config{}); err == nil {
 			t.Fatalf("%v accepted a 1-edge graph", alg)
 		}
 	}
@@ -280,7 +235,7 @@ func TestRunRejectsTinyGraph(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	src := rng.NewMT19937(20)
 	g := gen.GNP(64, 0.2, src)
-	stats, err := Run(g, AlgParGlobalES, 7, Config{Workers: 3, Seed: 2})
+	stats, err := Run(g.N(), g.Edges(), AlgParGlobalES, 7, Config{Workers: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,63 +1,37 @@
 package core
 
 import (
-	"errors"
-
 	"gesmc/internal/constraint"
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
+	"gesmc/internal/switching"
 )
 
-// ErrConstraintUnsupported is returned by NewEngine when a constraint
-// spec is configured for an algorithm outside the constrained set
-// (SeqES, SeqGlobalES, ParES, ParGlobalES).
-var ErrConstraintUnsupported = errors.New("core: algorithm does not support constraints")
-
 // ErrDisconnected is returned by NewEngine when the connectivity
-// constraint is configured over a graph that is not connected (alias
-// of the constraint package's sentinel, so errors.Is classifies both).
+// constraint is configured over a graph that is not (weakly) connected
+// (alias of the constraint package's sentinel, so errors.Is classifies
+// both).
 var ErrDisconnected = constraint.ErrDisconnected
 
-// supportsConstraint reports whether the algorithm participates in the
-// constraint subsystem. The naive baseline is inexact by design, the
-// adjacency-list baselines use a data path without the veto hook, and
-// the bucket-sampling SeqES variant is likewise excluded (checked
-// separately, since it is a Config flag rather than an Algorithm).
-func (a Algorithm) supportsConstraint() bool {
-	switch a {
-	case AlgSeqES, AlgSeqGlobalES, AlgParES, AlgParGlobalES:
-		return true
-	}
-	return false
-}
-
-// constrainedRuntime is the undirected instantiation of the shared
-// constraint runtime (see constraint.Runtime), plus the set-adapter
-// bindings for the two chain families.
-type constrainedRuntime = constraint.Runtime[graph.Edge]
-
-func newConstrainedRuntime(g *graph.Graph, spec *constraint.Spec) (*constrainedRuntime, error) {
-	return constraint.NewRuntime(spec, g.N(), g.Edges())
-}
-
 // bindHashSet points the runtime's graph ops at a sequential chain's
-// hash set.
-func bindHashSet(c *constrainedRuntime, S *hashset.Set) {
-	c.Ops = constraint.GraphOps[graph.Edge]{
-		Contains: S.Contains,
-		Insert:   func(e graph.Edge) { S.Insert(e) },
-		Erase:    func(e graph.Edge) { S.Erase(e) },
+// hash set, which stores every edge class bit-cast to graph.Edge.
+func bindHashSet[E switching.EdgeKind[E]](c *constraint.Runtime[E], S *hashset.Set) {
+	c.Ops = constraint.GraphOps[E]{
+		Contains: func(e E) bool { return S.Contains(graph.Edge(e)) },
+		Insert:   func(e E) { S.Insert(graph.Edge(e)) },
+		Erase:    func(e E) { S.Erase(graph.Edge(e)) },
 	}
 }
 
 // bindRunner installs the local veto on a parallel chain's runner and
-// points the graph ops at its concurrent edge set.
-func bindRunner(c *constrainedRuntime, r *SuperstepRunner) {
+// points the graph ops at its concurrent edge set, which stores edges
+// bit-cast exactly like the hash set.
+func bindRunner[E switching.EdgeKind[E]](c *constraint.Runtime[E], r *switching.Runner[E]) {
 	r.Veto = c.Veto
-	c.Ops = constraint.GraphOps[graph.Edge]{
-		Contains: r.Set.Contains,
-		Insert:   r.Set.InsertUnique,
-		Erase:    r.Set.EraseUnique,
+	c.Ops = constraint.GraphOps[E]{
+		Contains: func(e E) bool { return r.Set.Contains(graph.Edge(e)) },
+		Insert:   func(e E) { r.Set.InsertUnique(graph.Edge(e)) },
+		Erase:    func(e E) { r.Set.EraseUnique(graph.Edge(e)) },
 	}
 }
 

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"gesmc/internal/constraint"
+	"gesmc/internal/digraph"
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
 )
@@ -28,19 +31,21 @@ func forbiddenSpec(edges ...graph.Edge) *constraint.Spec {
 	return &constraint.Spec{Locals: []constraint.Local{constraint.NewForbidden(packed)}}
 }
 
-// TestConstraintUnsupportedAlgorithms: the naive and adjacency-list
-// chains and the bucket-sampling variant reject constraint specs.
+// TestConstraintUnsupportedAlgorithms: a constraint spec never widens
+// the engine's algorithm set — directed ParES and out-of-range values
+// are refused before any constraint state is built.
 func TestConstraintUnsupportedAlgorithms(t *testing.T) {
-	g := gridGraph(t, 4, 4)
-	for _, alg := range []Algorithm{AlgNaiveParES, AlgAdjListES, AlgAdjSortES} {
-		_, err := NewEngine(g.Clone(), alg, Config{Constraint: connectedSpec()})
-		if !errors.Is(err, ErrConstraintUnsupported) {
-			t.Fatalf("%v: err = %v, want ErrConstraintUnsupported", alg, err)
-		}
+	arcs := []digraph.Arc{digraph.MakeArc(0, 1), digraph.MakeArc(1, 2), digraph.MakeArc(2, 0)}
+	_, err := NewEngine(3, arcs, AlgParES, Config{Constraint: connectedSpec()})
+	if !errors.Is(err, ErrUnsupportedAlgorithm) {
+		t.Fatalf("directed ParES: err = %v, want ErrUnsupportedAlgorithm", err)
 	}
-	_, err := NewEngine(g.Clone(), AlgSeqES, Config{Constraint: connectedSpec(), SampleViaBuckets: true})
-	if !errors.Is(err, ErrConstraintUnsupported) {
-		t.Fatalf("SampleViaBuckets: err = %v, want ErrConstraintUnsupported", err)
+	g := gridGraph(t, 4, 4)
+	for _, alg := range []Algorithm{-1, AlgParGlobalES + 1} {
+		_, err := NewEngine(g.N(), g.Edges(), alg, Config{Constraint: connectedSpec()})
+		if !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Fatalf("Algorithm(%d): err = %v, want ErrUnknownAlgorithm", int(alg), err)
+		}
 	}
 }
 
@@ -52,7 +57,8 @@ func TestConstraintDisconnectedTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{AlgSeqES, AlgSeqGlobalES, AlgParES, AlgParGlobalES} {
-		if _, err := NewEngine(g.Clone(), alg, Config{Constraint: connectedSpec()}); !errors.Is(err, ErrDisconnected) {
+		c := g.Clone()
+		if _, err := NewEngine(c.N(), c.Edges(), alg, Config{Constraint: connectedSpec()}); !errors.Is(err, ErrDisconnected) {
 			t.Fatalf("%v: err = %v, want ErrDisconnected", alg, err)
 		}
 	}
@@ -79,7 +85,7 @@ func TestLocalConstraintWorkerInvariance(t *testing.T) {
 		var refVetoed int64
 		for _, w := range []int{1, 2, 4, 8} {
 			g := base.Clone()
-			stats, err := Run(g, alg, supersteps, Config{Workers: w, Seed: 99, Constraint: spec()})
+			stats, err := Run(g.N(), g.Edges(), alg, supersteps, Config{Workers: w, Seed: 99, Constraint: spec()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,11 +119,11 @@ func TestLocalConstraintWorkerInvariance(t *testing.T) {
 
 	// ParES == SeqES under the same local constraint.
 	gs := base.Clone()
-	if _, err := Run(gs, AlgSeqES, supersteps, Config{Seed: 99, Constraint: spec()}); err != nil {
+	if _, err := Run(gs.N(), gs.Edges(), AlgSeqES, supersteps, Config{Seed: 99, Constraint: spec()}); err != nil {
 		t.Fatal(err)
 	}
 	gp := base.Clone()
-	if _, err := Run(gp, AlgParES, supersteps, Config{Workers: 4, Seed: 99, Constraint: spec()}); err != nil {
+	if _, err := Run(gp.N(), gp.Edges(), AlgParES, supersteps, Config{Workers: 4, Seed: 99, Constraint: spec()}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range gs.Edges() {
@@ -154,7 +160,7 @@ func TestConnectedConstraintInvariants(t *testing.T) {
 		for _, w := range []int{1, 2, 4, 8} {
 			run := func() (*graph.Graph, *RunStats) {
 				g := base.Clone()
-				eng, err := NewEngine(g, alg, Config{Workers: w, Seed: 7, Constraint: connectedSpec()})
+				eng, err := NewEngine(g.N(), g.Edges(), alg, Config{Workers: w, Seed: 7, Constraint: connectedSpec()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,7 +222,7 @@ func TestParallelConnectedWorkerInvariance(t *testing.T) {
 		var refStats RunStats
 		for _, w := range []int{1, 2, 4, 8} {
 			g := base.Clone()
-			stats, err := Run(g, alg, 10, Config{Workers: w, Seed: 3, Constraint: connectedSpec()})
+			stats, err := Run(g.N(), g.Edges(), alg, 10, Config{Workers: w, Seed: 3, Constraint: connectedSpec()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +269,7 @@ func TestUniformityConnectedHexagons(t *testing.T) {
 	counts := map[string]int{}
 	for r := 0; r < runs; r++ {
 		g := base.Clone()
-		if _, err := Run(g, AlgSeqES, 25, Config{Seed: uint64(r)*2654435761 + 17, Constraint: connectedSpec()}); err != nil {
+		if _, err := Run(g.N(), g.Edges(), AlgSeqES, 25, Config{Seed: uint64(r)*2654435761 + 17, Constraint: connectedSpec()}); err != nil {
 			t.Fatal(err)
 		}
 		if c, _ := graph.ConnectedComponents(g); c != 1 {
@@ -301,12 +307,23 @@ func TestEscapeMovesFire(t *testing.T) {
 	}
 	spec := &constraint.Spec{Connected: true, Stall: 2}
 	g := base.Clone()
-	stats, err := Run(g, AlgSeqES, 30, Config{Seed: 5, Constraint: spec})
+	stats, err := Run(g.N(), g.Edges(), AlgSeqES, 30, Config{Seed: 5, Constraint: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.EscapeAttempts == 0 {
 		t.Fatal("stall limit 2 on a path graph never attempted an escape")
+	}
+	// Escapes draw from the chain's own stream in the middle of SeqES's
+	// 4096-switch draw chunks, so this seed-fixed result also pins the
+	// undirected chunking (the directed chunking is pinned by the
+	// package gesmc golden digests).
+	h := fnv.New64a()
+	for _, e := range g.Edges() {
+		fmt.Fprintf(h, "%d,", uint64(e))
+	}
+	if got := fmt.Sprintf("%016x esc=%d/%d legal=%d", h.Sum64(), stats.EscapeMoves, stats.EscapeAttempts, stats.Legal); got != "7552d3360f23c324 esc=25/62 legal=85" {
+		t.Fatalf("seed-fixed escape run changed: %s", got)
 	}
 	if c, _ := graph.ConnectedComponents(g); c != 1 {
 		t.Fatal("escape left a disconnected graph")

@@ -30,13 +30,13 @@ func TestParGlobalLargeWorkerIdentity(t *testing.T) {
 		prefetch bool
 	}
 	ref := base.Clone()
-	if _, err := Run(ref, AlgParGlobalES, 3, Config{Workers: 1, Seed: 404}); err != nil {
+	if _, err := Run(ref.N(), ref.Edges(), AlgParGlobalES, 3, Config{Workers: 1, Seed: 404}); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Edges()
 	for _, v := range []variant{{2, false}, {4, false}, {8, false}, {4, true}} {
 		g := base.Clone()
-		_, err := Run(g, AlgParGlobalES, 3, Config{
+		_, err := Run(g.N(), g.Edges(), AlgParGlobalES, 3, Config{
 			Workers: v.workers, Seed: 404, Prefetch: v.prefetch,
 		})
 		if err != nil {

@@ -5,8 +5,8 @@ import (
 
 	"gesmc/internal/conc"
 	"gesmc/internal/constraint"
-	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // prefixFinder locates the longest collision-free prefix of a switch
@@ -131,41 +131,28 @@ func FindCollisionFreePrefix(switches []Switch, workers int, minIdx []int32) int
 // execution because every prefix realizes sequential semantics over the
 // same switch sequence. The prefix search shares the runner's worker
 // gang, so the whole chain runs on one set of long-lived goroutines.
-type parESStepper struct {
-	m, w    int
+// NewEngine runs it over undirected edges only, so every switch draws
+// its direction bit.
+type parESStepper[E switching.EdgeKind[E]] struct {
+	m       int
 	src     rng.Source
-	runner  *SuperstepRunner
+	runner  *switching.Runner[E]
 	finder  *prefixFinder
 	pending []Switch
 	window  int
 	snap    runnerSnap
-	cons    *constrainedRuntime
+	cons    *constraint.Runtime[E]
 }
 
-func newParESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) stepper {
-	m := g.M()
-	w := cfg.workers()
+func newParESStepper[E switching.EdgeKind[E]](edges []E, cfg Config, cons *constraint.Runtime[E]) stepper {
+	m := len(edges)
 	// Window of pre-sampled switches; refilled as prefixes are consumed.
 	// Supersteps are bounded by the window, so the dependency table is
 	// sized to it (expected prefix length is Θ(√m), far below m/2).
-	window := 4 * isqrt(m)
-	if window < 256 {
-		window = 256
-	}
-	if window > m/2 {
-		window = m / 2
-	}
-	runner := NewSuperstepRunner(g.Edges(), window, w)
-	runner.Pessimistic = cfg.PessimisticRounds
-	runner.Prefetch = cfg.Prefetch
-	if cfg.ChunkBytes > 0 {
-		runner.Pool().SetChunkBytes(cfg.ChunkBytes)
-	}
-	if cons != nil {
-		bindRunner(cons, runner)
-	}
-	return &parESStepper{
-		m: m, w: w,
+	window := min(max(4*isqrt(m), 256), m/2)
+	runner := newRunner(edges, window, cfg, cons)
+	return &parESStepper[E]{
+		m:       m,
 		src:     rng.NewMT19937(cfg.Seed),
 		runner:  runner,
 		finder:  newPrefixFinder(runner.Pool(), m),
@@ -175,7 +162,7 @@ func newParESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) stepp
 	}
 }
 
-func (s *parESStepper) step(stats *RunStats) {
+func (s *parESStepper[E]) step(stats *RunStats) {
 	toSample := s.m / 2
 	for toSample > 0 || len(s.pending) > 0 {
 		// Refill the window.
@@ -194,12 +181,10 @@ func (s *parESStepper) step(stats *RunStats) {
 		}
 		s.pending = s.pending[:copy(s.pending, s.pending[t:])]
 	}
-	s.snap.flushDelta(s.runner, stats)
+	s.snap.flushDelta(s.runner.Stats, stats)
 }
 
-func (s *parESStepper) finish() {}
-
-func (s *parESStepper) release() { s.runner.Release() }
+func (s *parESStepper[E]) release() { s.runner.Release() }
 
 func isqrt(n int) int {
 	if n <= 0 {

@@ -2,55 +2,38 @@ package core
 
 import (
 	"gesmc/internal/constraint"
-	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
-
-// ExecuteGlobalParallel performs one global switch Γ = (π, ℓ) using the
-// given runner. A global switch has no source dependencies by definition
-// (each edge index occurs at most once in π), so it is exactly one
-// ParallelSuperstep (Algorithm 3).
-func ExecuteGlobalParallel(r *SuperstepRunner, perm []uint32, l int, buf []Switch) []Switch {
-	buf = GlobalSwitches(perm, l, buf)
-	r.Run(buf)
-	return buf
-}
 
 // parGlobalStepper is the production ParGlobalES (Algorithm 3): per
 // superstep, draw a parallel random permutation of the edge indices and
-// ℓ ~ Binom(⌊m/2⌋, 1−P_L), then run one ParallelSuperstep. The
-// per-superstep permutation seeds are drawn lazily from the same
-// SplitMix64 stream the one-shot implementation pre-computed, so a
-// resumed engine replays the identical chain.
-type parGlobalStepper struct {
-	m, w     int
+// ℓ ~ Binom(⌊m/2⌋, 1−P_L), then run one ParallelSuperstep. A global
+// switch has no source dependencies by definition (each edge index
+// occurs at most once in π), so it is exactly one superstep. The
+// per-superstep permutation seeds are drawn lazily from one SplitMix64
+// stream (salted per edge class), so a resumed engine replays the
+// identical chain.
+type parGlobalStepper[E switching.EdgeKind[E]] struct {
+	m        int
 	src      rng.Source      // binomial ℓ draws
 	seedSrc  *rng.SplitMix64 // per-superstep permutation seeds
-	runner   *SuperstepRunner
+	runner   *switching.Runner[E]
 	perm     *rng.PermGen
 	dispatch rng.Dispatch // runner's gang, stored once (alloc-free steps)
 	buf      []Switch
 	pl       float64
 	snap     runnerSnap
-	cons     *constrainedRuntime
+	cons     *constraint.Runtime[E]
 }
 
-func newParGlobalStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) stepper {
-	m := g.M()
-	w := cfg.workers()
-	runner := NewSuperstepRunner(g.Edges(), m/2, w)
-	runner.Pessimistic = cfg.PessimisticRounds
-	runner.Prefetch = cfg.Prefetch
-	if cfg.ChunkBytes > 0 {
-		runner.Pool().SetChunkBytes(cfg.ChunkBytes)
-	}
-	if cons != nil {
-		bindRunner(cons, runner)
-	}
-	return &parGlobalStepper{
-		m: m, w: w,
+func newParGlobalStepper[E switching.EdgeKind[E]](edges []E, cfg Config, cls class, cons *constraint.Runtime[E]) stepper {
+	m := len(edges)
+	runner := newRunner(edges, m/2, cfg, cons)
+	return &parGlobalStepper[E]{
+		m:        m,
 		src:      rng.NewMT19937(cfg.Seed),
-		seedSrc:  rng.NewSplitMix64(cfg.Seed ^ 0xA5A5A5A5A5A5A5A5),
+		seedSrc:  rng.NewSplitMix64(cfg.Seed ^ cls.permSalt),
 		runner:   runner,
 		perm:     rng.NewPermGen(m),
 		dispatch: runner.Pool().Blocks,
@@ -60,19 +43,18 @@ func newParGlobalStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) s
 	}
 }
 
-func (s *parGlobalStepper) step(stats *RunStats) {
+func (s *parGlobalStepper[E]) step(stats *RunStats) {
 	perm := s.perm.Generate(s.seedSrc.Uint64(), s.dispatch)
 	l := int(rng.BinomialComplementSmall(s.src, int64(s.m/2), s.pl))
-	s.buf = ExecuteGlobalParallel(s.runner, perm, l, s.buf)
+	s.buf = GlobalSwitches(perm, l, s.buf)
+	s.runner.Run(s.buf)
 	stats.Attempted += int64(l)
 	if s.cons != nil {
 		var cc constraint.Counters
 		s.cons.AfterSuperstep(s.runner, s.buf, s.src, &cc)
 		addCounters(stats, &cc)
 	}
-	s.snap.flushDelta(s.runner, stats)
+	s.snap.flushDelta(s.runner.Stats, stats)
 }
 
-func (s *parGlobalStepper) finish() {}
-
-func (s *parGlobalStepper) release() { s.runner.Release() }
+func (s *parGlobalStepper[E]) release() { s.runner.Release() }

@@ -6,6 +6,7 @@ import (
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 func TestPessimisticSchedulerSameResults(t *testing.T) {
@@ -22,7 +23,7 @@ func TestPessimisticSchedulerSameResults(t *testing.T) {
 		seqE, seqLegal := runSequentialReference(g, switches)
 
 		c := g.Clone()
-		r := NewSuperstepRunner(c.Edges(), max(len(switches), 1), 4)
+		r := switching.NewRunner(c.Edges(), max(len(switches), 1), 4)
 		r.Pessimistic = true
 		r.Run(switches)
 		if r.Legal != seqLegal {
@@ -44,10 +45,10 @@ func TestPessimisticRoundsAtLeastNatural(t *testing.T) {
 	}
 	switches := globalSwitchBatch(g.M(), src)
 
-	nat := NewSuperstepRunner(g.Clone().Edges(), max(len(switches), 1), 1)
+	nat := switching.NewRunner(g.Clone().Edges(), max(len(switches), 1), 1)
 	nat.Run(switches)
 
-	pes := NewSuperstepRunner(g.Clone().Edges(), max(len(switches), 1), 1)
+	pes := switching.NewRunner(g.Clone().Edges(), max(len(switches), 1), 1)
 	pes.Pessimistic = true
 	pes.Run(switches)
 
@@ -61,7 +62,7 @@ func TestPessimisticRoundsAtLeastNatural(t *testing.T) {
 func measurePessimisticRounds(g *graph.Graph, src *rng.MT19937) float64 {
 	c := g.Clone()
 	m := c.M()
-	r := NewSuperstepRunner(c.Edges(), m/2, 2)
+	r := switching.NewRunner(c.Edges(), m/2, 2)
 	r.Pessimistic = true
 	for step := 0; step < 8; step++ {
 		perm := rng.Perm(src, m)
@@ -104,10 +105,10 @@ func TestPessimisticViaRunConfig(t *testing.T) {
 	src := rng.NewMT19937(7010)
 	base := gen.GNP(96, 0.12, src)
 	a, b := base.Clone(), base.Clone()
-	if _, err := Run(a, AlgParGlobalES, 5, Config{Workers: 3, Seed: 4}); err != nil {
+	if _, err := Run(a.N(), a.Edges(), AlgParGlobalES, 5, Config{Workers: 3, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	sb, err := Run(b, AlgParGlobalES, 5, Config{Workers: 3, Seed: 4, PessimisticRounds: true})
+	sb, err := Run(b.N(), b.Edges(), AlgParGlobalES, 5, Config{Workers: 3, Seed: 4, PessimisticRounds: true})
 	if err != nil {
 		t.Fatal(err)
 	}

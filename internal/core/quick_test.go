@@ -9,6 +9,7 @@ import (
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // quickGraph is a generator for testing/quick: a random simple graph
@@ -64,7 +65,7 @@ func TestQuickDegreeAndSimplicityInvariant(t *testing.T) {
 		workers := int(workers8%4) + 1
 		g := qg.G.Clone()
 		want := g.Degrees()
-		if _, err := Run(g, alg, 2, Config{Workers: workers, Seed: qg.Seed}); err != nil {
+		if _, err := Run(g.N(), g.Edges(), alg, 2, Config{Workers: workers, Seed: qg.Seed}); err != nil {
 			return false
 		}
 		if g.CheckSimple() != nil {
@@ -175,7 +176,7 @@ func BenchmarkSuperstepDecide(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := g.M()
-	r := NewSuperstepRunner(g.Edges(), m/2, 1)
+	r := switching.NewRunner(g.Edges(), m/2, 1)
 	perm := rng.Perm(src, m)
 	switches := GlobalSwitches(perm, m/2, nil)
 	b.ResetTimer()

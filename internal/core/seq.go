@@ -7,37 +7,50 @@ import (
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // ErrTooSmall is returned for graphs with fewer than two edges, on which
 // no switch is defined.
 var ErrTooSmall = errors.New("core: graph has fewer than 2 edges")
 
+// newEdgeSet builds the sequential chains' hash set over edges. Arcs are
+// stored bit-cast to graph.Edge, exactly as conc.EdgeSet stores them in
+// the parallel kernel: both pack two 32-bit endpoints, and the set
+// hashes the 64-bit word without canonicalizing it.
+func newEdgeSet[E switching.EdgeKind[E]](edges []E) *hashset.Set {
+	S := hashset.NewDefault(len(edges))
+	for _, e := range edges {
+		S.Insert(graph.Edge(e))
+	}
+	return S
+}
+
 // ExecuteSequential performs the given switches in order on edge list E
 // with edge set S, exactly following Definition 1: a switch is rejected
 // iff a target is a loop or already exists in E (sources included). It
 // returns the number of accepted switches. It is the reference semantics
 // against which the parallel algorithms are verified.
-func ExecuteSequential(E []graph.Edge, S *hashset.Set, switches []Switch) int64 {
+func ExecuteSequential[E switching.EdgeKind[E]](edges []E, S *hashset.Set, switches []Switch) int64 {
 	var legal int64
 	for _, sw := range switches {
-		e1 := E[sw.I]
-		e2 := E[sw.J]
-		t3, t4 := graph.SwitchTargets(e1, e2, sw.G)
-		if t3.IsLoop() || t4.IsLoop() {
+		e1 := edges[sw.I]
+		e2 := edges[sw.J]
+		t3, t4 := e1.Targets(e2, sw.G)
+		if switching.IsLoop(t3) || switching.IsLoop(t4) {
 			continue
 		}
 		// Sources are still in S, so own-target switches (possible when
 		// e1 and e2 share a node) reject here, as do genuine conflicts.
-		if S.Contains(t3) || S.Contains(t4) {
+		if S.Contains(graph.Edge(t3)) || S.Contains(graph.Edge(t4)) {
 			continue
 		}
-		S.Erase(e1)
-		S.Erase(e2)
-		S.Insert(t3)
-		S.Insert(t4)
-		E[sw.I] = t3
-		E[sw.J] = t4
+		S.Erase(graph.Edge(e1))
+		S.Erase(graph.Edge(e2))
+		S.Insert(graph.Edge(t3))
+		S.Insert(graph.Edge(t4))
+		edges[sw.I] = t3
+		edges[sw.J] = t4
 		legal++
 	}
 	return legal
@@ -51,134 +64,118 @@ const pipelineDepth = 4
 // executeSequentialPrefetch is ExecuteSequential with the bucket
 // pre-touch pipeline enabled. Touching is only a memory hint — staleness
 // cannot affect correctness, exactly as with hardware prefetches.
-func executeSequentialPrefetch(E []graph.Edge, S *hashset.Set, switches []Switch) int64 {
+func executeSequentialPrefetch[E switching.EdgeKind[E]](edges []E, S *hashset.Set, switches []Switch) int64 {
 	var legal int64
 	n := len(switches)
 	for base := 0; base < n; base += pipelineDepth {
-		hi := base + pipelineDepth
-		if hi > n {
-			hi = n
-		}
+		hi := min(base+pipelineDepth, n)
 		// Stage 1: touch the buckets the upcoming switches will probe.
 		for k := base; k < hi; k++ {
 			sw := switches[k]
-			e1, e2 := E[sw.I], E[sw.J]
-			t3, t4 := graph.SwitchTargets(e1, e2, sw.G)
-			S.Touch(e1)
-			S.Touch(e2)
-			S.Touch(t3)
-			S.Touch(t4)
+			e1, e2 := edges[sw.I], edges[sw.J]
+			t3, t4 := e1.Targets(e2, sw.G)
+			S.Touch(graph.Edge(e1))
+			S.Touch(graph.Edge(e2))
+			S.Touch(graph.Edge(t3))
+			S.Touch(graph.Edge(t4))
 		}
 		// Stage 2: run them for real.
-		legal += ExecuteSequential(E, S, switches[base:hi])
+		legal += ExecuteSequential(edges, S, switches[base:hi])
 	}
 	return legal
 }
 
-// seqESStepper is the production sequential ES-MC (§5's SeqES): per
-// superstep, floor(m/2) uniformly random switches executed per
-// Definition 1 on the persistent edge array plus hash set.
-type seqESStepper struct {
-	m        int
-	E        []graph.Edge
+// seqExec is the execution half shared by the sequential chains: the
+// persistent edge array plus hash set, and the constraint runtime when
+// one is active.
+type seqExec[E switching.EdgeKind[E]] struct {
+	E        []E
 	S        *hashset.Set
 	src      rng.Source
 	prefetch bool
-	buf      []Switch
-	cons     *constrainedRuntime
+	cons     *constraint.Runtime[E]
 }
 
-const seqChunk = 1 << 12
-
-func newSeqESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) stepper {
-	E := g.Edges()
-	S := hashset.FromEdges(E, 0.5)
-	src := rng.NewMT19937(cfg.Seed)
-	if cfg.SampleViaBuckets {
-		// Keep an index for write-back: position of each edge in E.
-		pos := make(map[graph.Edge]int, len(E))
-		for i, e := range E {
-			pos[e] = i
-		}
-		return &seqBucketsStepper{m: g.M(), E: E, S: S, src: src, pos: pos}
-	}
+func newSeqExec[E switching.EdgeKind[E]](edges []E, cfg Config, cons *constraint.Runtime[E]) seqExec[E] {
+	S := newEdgeSet(edges)
 	if cons != nil {
 		bindHashSet(cons, S)
 	}
-	return &seqESStepper{
-		m: g.M(), E: E, S: S, src: src,
-		prefetch: cfg.Prefetch,
-		buf:      make([]Switch, 0, seqChunk),
-		cons:     cons,
+	return seqExec[E]{E: edges, S: S, src: rng.NewMT19937(cfg.Seed), prefetch: cfg.Prefetch, cons: cons}
+}
+
+// run executes switches in order. A constrained run may draw escape
+// moves from the chain's own stream, so when switches are drawn
+// relative to their execution is part of the chain's seed-to-output
+// map.
+func (x *seqExec[E]) run(switches []Switch, stats *RunStats) {
+	switch {
+	case x.cons != nil:
+		var cc constraint.Counters
+		x.cons.ExecuteSequential(x.E, switches, x.src, &cc)
+		addCounters(stats, &cc)
+	case x.prefetch:
+		stats.Legal += executeSequentialPrefetch(x.E, x.S, switches)
+	default:
+		stats.Legal += ExecuteSequential(x.E, x.S, switches)
 	}
 }
 
-func (s *seqESStepper) step(stats *RunStats) {
-	perStep := int64(s.m / 2)
+func (x *seqExec[E]) release() {}
+
+// seqESStepper is the production sequential ES-MC (§5's SeqES): per
+// superstep, ⌊m/2⌋ uniformly random switches executed per Definition 1
+// on the persistent edge array plus hash set, drawn in chunks of the
+// edge class's seqChunk.
+type seqESStepper[E switching.EdgeKind[E]] struct {
+	seqExec[E]
+	cls class
+	buf []Switch
+}
+
+func newSeqESStepper[E switching.EdgeKind[E]](edges []E, cfg Config, cls class, cons *constraint.Runtime[E]) stepper {
+	return &seqESStepper[E]{
+		seqExec: newSeqExec(edges, cfg, cons),
+		cls:     cls,
+		buf:     make([]Switch, 0, cls.seqChunk),
+	}
+}
+
+func (s *seqESStepper[E]) step(stats *RunStats) {
+	m := len(s.E)
+	perStep := int64(m / 2)
 	for done := int64(0); done < perStep; {
-		take := perStep - done
-		if take > seqChunk {
-			take = seqChunk
-		}
-		buf := s.buf[:take]
+		buf := s.buf[:min(perStep-done, int64(s.cls.seqChunk))]
 		for k := range buf {
-			i, j := rng.TwoDistinct(s.src, s.m)
-			buf[k] = Switch{I: uint32(i), J: uint32(j), G: rng.Bool(s.src)}
+			i, j := rng.TwoDistinct(s.src, m)
+			buf[k] = Switch{I: uint32(i), J: uint32(j), G: s.cls.directionBit && rng.Bool(s.src)}
 		}
-		switch {
-		case s.cons != nil:
-			var cc constraint.Counters
-			s.cons.ExecuteSequential(s.E, buf, s.src, &cc)
-			addCounters(stats, &cc)
-		case s.prefetch:
-			stats.Legal += executeSequentialPrefetch(s.E, s.S, buf)
-		default:
-			stats.Legal += ExecuteSequential(s.E, s.S, buf)
-		}
-		done += take
+		s.run(buf, stats)
+		done += int64(len(buf))
 	}
 	stats.Attempted += perStep
 }
 
-func (s *seqESStepper) finish() {}
-
-// seqBucketsStepper runs ES-MC sampling the two edges directly from the
-// hash set by random-bucket probing (§5.3 second option). The chain is
-// equivalent: a switch is an unordered pair of distinct edges plus a
-// direction bit, independent of edge-list indexing; the edge array is
-// still maintained only implicitly via the set.
-type seqBucketsStepper struct {
-	m   int
-	E   []graph.Edge
-	S   *hashset.Set
-	src rng.Source
-	pos map[graph.Edge]int
+// seqGlobalStepper is the production sequential G-ES-MC (§5's
+// SeqGlobalES): each superstep shuffles the edge indices, draws ℓ, and
+// executes the resulting switches in order.
+type seqGlobalStepper[E switching.EdgeKind[E]] struct {
+	seqExec[E]
+	pl  float64
+	buf []Switch
 }
 
-func (s *seqBucketsStepper) step(stats *RunStats) {
-	perStep := int64(s.m / 2)
-	for k := int64(0); k < perStep; k++ {
-		e1 := s.S.SampleBucket(s.src)
-		e2 := s.S.SampleBucket(s.src)
-		if e1 == e2 {
-			continue // resample counts as rejection (prob 1/m)
-		}
-		t3, t4 := graph.SwitchTargets(e1, e2, rng.Bool(s.src))
-		if t3.IsLoop() || t4.IsLoop() || s.S.Contains(t3) || s.S.Contains(t4) {
-			continue
-		}
-		s.S.Erase(e1)
-		s.S.Erase(e2)
-		s.S.Insert(t3)
-		s.S.Insert(t4)
-		i, j := s.pos[e1], s.pos[e2]
-		delete(s.pos, e1)
-		delete(s.pos, e2)
-		s.E[i], s.E[j] = t3, t4
-		s.pos[t3], s.pos[t4] = i, j
-		stats.Legal++
+func newSeqGlobalStepper[E switching.EdgeKind[E]](edges []E, cfg Config, cons *constraint.Runtime[E]) stepper {
+	return &seqGlobalStepper[E]{
+		seqExec: newSeqExec(edges, cfg, cons),
+		pl:      cfg.loopProb(),
+		buf:     make([]Switch, 0, len(edges)/2),
 	}
-	stats.Attempted += perStep
 }
 
-func (s *seqBucketsStepper) finish() {}
+func (s *seqGlobalStepper[E]) step(stats *RunStats) {
+	perm, l := SampleGlobalSwitch(len(s.E), s.pl, s.src)
+	s.buf = GlobalSwitches(perm, l, s.buf)
+	s.run(s.buf, stats)
+	stats.Attempted += int64(l)
+}

@@ -7,6 +7,7 @@ import (
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // runSequentialReference executes switches on a clone of g per
@@ -19,20 +20,13 @@ func runSequentialReference(g *graph.Graph, switches []Switch) ([]graph.Edge, in
 }
 
 // runParallelSuperstep executes switches on a clone of g via the
-// SuperstepRunner and returns edge list, accepted count, and the runner
+// parallel kernel and returns edge list, accepted count, and the runner
 // (for edge-set inspection).
-func runParallelSuperstep(g *graph.Graph, switches []Switch, workers int) ([]graph.Edge, int64, *SuperstepRunner) {
+func runParallelSuperstep(g *graph.Graph, switches []Switch, workers int) ([]graph.Edge, int64, *switching.Runner[graph.Edge]) {
 	c := g.Clone()
-	r := NewSuperstepRunner(c.Edges(), max(len(switches), 1), workers)
+	r := switching.NewRunner(c.Edges(), max(len(switches), 1), workers)
 	r.Run(switches)
 	return c.Edges(), r.Legal, r
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // assertExactMatch verifies bit-exact equivalence of the parallel
@@ -220,7 +214,7 @@ func TestSuperstepManyConsecutive(t *testing.T) {
 	seq := g.Clone()
 	S := hashset.FromEdges(seq.Edges(), 0.5)
 	par := g.Clone()
-	r := NewSuperstepRunner(par.Edges(), m/2, 4)
+	r := switching.NewRunner(par.Edges(), m/2, 4)
 
 	for step := 0; step < 30; step++ {
 		perm := rng.Perm(src, m)
@@ -283,7 +277,7 @@ func TestRegularGraphRoundsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rng.NewMT19937(6006)
-	r := NewSuperstepRunner(g.Edges(), g.M()/2, 4)
+	r := switching.NewRunner(g.Edges(), g.M()/2, 4)
 	for step := 0; step < 10; step++ {
 		perm := rng.Perm(src, g.M())
 		r.Run(GlobalSwitches(perm, g.M()/2, nil))

@@ -1,21 +1,24 @@
-// Package core implements the switching Markov chains of the paper:
+// Package core implements the switching Markov chains of the paper,
+// generically over the edge encoding: one Engine[E] runs them for
+// undirected edges (graph.Edge) and directed or bipartite arcs
+// (digraph.Arc) alike.
 //
 //   - SeqES: fast sequential ES-MC (Definition 1) on an edge array plus
 //     hash set (§5).
 //   - SeqGlobalES: sequential G-ES-MC (Definition 3).
-//   - NaiveParES: the inexact parallel baseline that only synchronizes
-//     concurrent accesses to individual edges (§5.1).
-//   - ParES: the exact parallelization of ES-MC (Algorithm 2).
+//   - ParES: the exact parallelization of ES-MC (Algorithm 2);
+//     undirected edges only.
 //   - ParGlobalES: the exact parallelization of G-ES-MC (Algorithm 3).
-//   - ParallelSuperstep (Algorithm 1), shared by ParES and ParGlobalES.
-//   - Adjacency-list sequential baselines standing in for NetworKit and
-//     Gengraph (see DESIGN.md).
 //
-// All implementations mutate the graph's edge list in place and preserve
-// both the degree sequence and simplicity. The parallel implementations
-// are exact: given the same switch sequence they produce bit-identical
-// edge lists to sequential Definition-1 execution (see superstep.go for
-// the one documented refinement over the paper's pseudocode).
+// The parallel chains run ParallelSuperstep (Algorithm 1) through the
+// generic kernel in internal/switching. All implementations mutate the
+// edge list in place and preserve both the degree sequence and
+// simplicity. The parallel implementations are exact: given the same
+// switch sequence they produce bit-identical edge lists to sequential
+// Definition-1 execution (see switching.Runner for the one documented
+// refinement over the paper's pseudocode). The paper's experiment-only
+// baselines (NaiveParES, the adjacency-list chains, bucket-sampling
+// SeqES) live with the experiment drivers in cmd/experiments.
 package core
 
 import (
@@ -23,7 +26,6 @@ import (
 	"time"
 
 	"gesmc/internal/constraint"
-	"gesmc/internal/graph"
 	"gesmc/internal/rng"
 	"gesmc/internal/switching"
 )
@@ -42,18 +44,10 @@ const (
 	AlgSeqES Algorithm = iota
 	// AlgSeqGlobalES is the sequential G-ES-MC implementation.
 	AlgSeqGlobalES
-	// AlgNaiveParES is the inexact parallel ES-MC baseline.
-	AlgNaiveParES
 	// AlgParES is the exact parallel ES-MC (Algorithm 2).
 	AlgParES
 	// AlgParGlobalES is the exact parallel G-ES-MC (Algorithm 3).
 	AlgParGlobalES
-	// AlgAdjListES is the unsorted adjacency-list sequential baseline
-	// ("NetworKit-style").
-	AlgAdjListES
-	// AlgAdjSortES is the sorted adjacency-list sequential baseline
-	// ("Gengraph-style").
-	AlgAdjSortES
 )
 
 // String returns the implementation name used in the paper.
@@ -63,25 +57,13 @@ func (a Algorithm) String() string {
 		return "SeqES"
 	case AlgSeqGlobalES:
 		return "SeqGlobalES"
-	case AlgNaiveParES:
-		return "NaiveParES"
 	case AlgParES:
 		return "ParES"
 	case AlgParGlobalES:
 		return "ParGlobalES"
-	case AlgAdjListES:
-		return "AdjListES"
-	case AlgAdjSortES:
-		return "AdjSortES"
 	default:
 		return "unknown"
 	}
-}
-
-// IsGlobal reports whether the algorithm runs the G-ES-MC chain (one
-// global switch per superstep) rather than ES-MC.
-func (a Algorithm) IsGlobal() bool {
-	return a == AlgSeqGlobalES || a == AlgParGlobalES
 }
 
 // DefaultLoopProb is the default loop-rejection probability P_L of
@@ -89,7 +71,7 @@ func (a Algorithm) IsGlobal() bool {
 // aperiodicity; a tiny value wastes almost no switches.
 const DefaultLoopProb = 1e-6
 
-// Config carries the common tuning knobs.
+// Config carries the tuning knobs shared by every chain and edge type.
 type Config struct {
 	// Workers is the number of goroutines for parallel algorithms
 	// (P in the paper). Zero means 1.
@@ -101,11 +83,8 @@ type Config struct {
 	LoopProb float64
 	// Prefetch enables the software pipeline that pre-touches hash
 	// buckets (the Go analogue of §5.4's prefetch instructions).
+	// Results are bit-identical with the pipeline on or off.
 	Prefetch bool
-	// SampleViaBuckets switches SeqES edge sampling from the auxiliary
-	// edge array to random-bucket probing of the hash set (§5.3's
-	// memory/time trade-off).
-	SampleViaBuckets bool
 	// ChunkBytes overrides the topology-derived dynamic-chunk grain of
 	// the parallel phases: each work-stealing claim covers about
 	// ChunkBytes of edge data. Zero keeps the cache-aware default
@@ -119,10 +98,9 @@ type Config struct {
 	PessimisticRounds bool
 	// Constraint restricts the chain's state space (see the constraint
 	// package): local vetoes run inside the decide phase, connectivity
-	// via certificate + speculate-then-recertify. Supported by SeqES,
-	// SeqGlobalES, ParES, and ParGlobalES; NewEngine rejects the
-	// combination otherwise (ErrConstraintUnsupported). Nil or a spec
-	// with nothing active constrains nothing.
+	// (weak connectivity for arcs) via certificate +
+	// speculate-then-recertify. Every algorithm supports it. Nil or a
+	// spec with nothing active constrains nothing.
 	Constraint *constraint.Spec
 }
 
@@ -212,19 +190,20 @@ func SampleGlobalSwitch(m int, loopProb float64, src rng.Source) ([]uint32, int)
 	return perm, l
 }
 
-// Run executes the selected algorithm for the given number of supersteps
-// (one superstep = ⌊m/2⌋ switch attempts for ES-MC chains, one global
-// switch for G-ES-MC chains, matching §6.1's normalization) and returns
-// statistics. The graph is randomized in place. Run is the one-shot form
-// of NewEngine + Steps; callers that draw many samples from one graph
-// should hold on to an Engine instead so the edge-set/adjacency state is
-// built only once.
-func Run(g *graph.Graph, alg Algorithm, supersteps int, cfg Config) (*RunStats, error) {
+// Run executes the selected algorithm on the edge list of a graph with
+// n nodes for the given number of supersteps (one superstep = ⌊m/2⌋
+// switch attempts for ES-MC chains, one global switch for G-ES-MC
+// chains, matching §6.1's normalization) and returns statistics. The
+// edges are randomized in place. Run is the one-shot form of NewEngine
+// + Steps; callers that draw many samples from one graph should hold on
+// to an Engine instead so the edge-set state is built only once.
+func Run[E switching.EdgeKind[E]](n int, edges []E, alg Algorithm, supersteps int, cfg Config) (*RunStats, error) {
 	start := time.Now()
-	e, err := NewEngine(g, alg, cfg)
+	e, err := NewEngine(n, edges, alg, cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer e.Close()
 	stats, err := e.Steps(context.Background(), supersteps)
 	if err != nil {
 		return nil, err

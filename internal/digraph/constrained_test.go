@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gesmc/internal/constraint"
+	"gesmc/internal/core"
 	"gesmc/internal/graph"
 )
 
@@ -57,8 +58,8 @@ func TestDirectedConstraintDisconnectedTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := &constraint.Spec{Connected: true}
-	for _, alg := range []Algorithm{AlgSeqES, AlgSeqGlobalES, AlgParGlobalES} {
-		if _, err := NewEngine(g.Clone(), alg, Config{Constraint: spec}); !errors.Is(err, ErrDisconnected) {
+	for _, alg := range []core.Algorithm{core.AlgSeqES, core.AlgSeqGlobalES, core.AlgParGlobalES} {
+		if _, err := newEngine(g.Clone(), alg, core.Config{Constraint: spec}); !errors.Is(err, core.ErrDisconnected) {
 			t.Fatalf("%v: err = %v, want ErrDisconnected", alg, err)
 		}
 	}
@@ -74,13 +75,13 @@ func TestDirectedConnectedInvariants(t *testing.T) {
 	spec := func() *constraint.Spec { return &constraint.Spec{Connected: true} }
 
 	var ref []Arc
-	for _, alg := range []Algorithm{AlgSeqES, AlgSeqGlobalES, AlgParGlobalES} {
+	for _, alg := range []core.Algorithm{core.AlgSeqES, core.AlgSeqGlobalES, core.AlgParGlobalES} {
 		for _, w := range []int{1, 2, 4, 8} {
-			if alg != AlgParGlobalES && w > 1 {
+			if alg != core.AlgParGlobalES && w > 1 {
 				continue
 			}
 			g := base.Clone()
-			eng, err := NewEngine(g, alg, Config{Workers: w, Seed: 11, Constraint: spec()})
+			eng, err := newEngine(g, alg, core.Config{Workers: w, Seed: 11, Constraint: spec()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +103,7 @@ func TestDirectedConnectedInvariants(t *testing.T) {
 				}
 			}
 			eng.Close()
-			if alg == AlgParGlobalES {
+			if alg == core.AlgParGlobalES {
 				if w == 1 {
 					ref = append([]Arc(nil), g.Arcs()...)
 				} else {
@@ -133,7 +134,7 @@ func TestDirectedForbiddenArcs(t *testing.T) {
 	var refVetoed int64
 	for _, w := range []int{1, 2, 4, 8} {
 		g := base.Clone()
-		eng, err := NewEngine(g, AlgParGlobalES, Config{Workers: w, Seed: 2, Constraint: spec()})
+		eng, err := newEngine(g, core.AlgParGlobalES, core.Config{Workers: w, Seed: 2, Constraint: spec()})
 		if err != nil {
 			t.Fatal(err)
 		}

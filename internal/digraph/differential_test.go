@@ -4,28 +4,29 @@ import (
 	"context"
 	"testing"
 
+	"gesmc/internal/core"
 	"gesmc/internal/rng"
 )
 
 // replayParGlobalSequentially reproduces the exact switch sequence the
 // parallel directed G-ES-MC engine draws for a given (seed, workers)
 // pair — ParallelPerm seeds from the SplitMix64 stream, ℓ from the
-// MT19937 stream — and executes it with the map-backed sequential
+// MT19937 stream — and executes it with the sequential
 // reference. This is the ground truth the parallel engine must hit
 // bit-identically.
 func replayParGlobalSequentially(g *DiGraph, supersteps, workers int, loopProb float64, seed uint64) *DiGraph {
 	c := g.Clone()
 	A := c.Arcs()
-	S := c.ArcSet()
+	S := arcSet(c)
 	m := c.M()
 	src := rng.NewMT19937(seed)
 	seedSrc := rng.NewSplitMix64(seed ^ 0x5DEECE66D)
-	var buf []Switch
+	var buf []core.Switch
 	for step := 0; step < supersteps; step++ {
 		perm := rng.ParallelPerm(seedSrc.Uint64(), m, workers)
 		l := int(rng.BinomialComplementSmall(src, int64(m/2), loopProb))
-		buf = GlobalSwitches(perm, l, buf)
-		ExecuteSequential(A, S, buf)
+		buf = core.GlobalSwitches(perm, l, buf)
+		core.ExecuteSequential(A, S, buf)
 	}
 	return c
 }
@@ -43,7 +44,7 @@ func TestDirectedParGlobalBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		want := replayParGlobalSequentially(g, supersteps, w, pl, seed)
 		got := g.Clone()
-		if _, err := ParGlobalES(got, supersteps, w, pl, seed); err != nil {
+		if _, err := run(got, core.AlgParGlobalES, supersteps, core.Config{Workers: w, LoopProb: pl, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.Arcs() {
@@ -59,10 +60,10 @@ func TestDirectedEngineResumedSplitsBitIdentical(t *testing.T) {
 	// change the trajectory.
 	src := rng.NewMT19937(8702)
 	g := randomDigraph(64, 0.12, src)
-	cfg := Config{Workers: 4, Seed: 9, LoopProb: 0.01}
+	cfg := core.Config{Workers: 4, Seed: 9, LoopProb: 0.01}
 
 	oneShot := g.Clone()
-	e1, err := NewEngine(oneShot, AlgParGlobalES, cfg)
+	e1, err := newEngine(oneShot, core.AlgParGlobalES, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestDirectedEngineResumedSplitsBitIdentical(t *testing.T) {
 	}
 
 	split := g.Clone()
-	e2, err := NewEngine(split, AlgParGlobalES, cfg)
+	e2, err := newEngine(split, core.AlgParGlobalES, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,18 @@
 // directed edge switch takes two arcs (u→v), (x→y) and rewires them to
 // (u→y), (x→v), rejecting loops and parallel arcs; in- and out-degrees
 // of all nodes are preserved. Because bipartite graphs are exactly the
-// digraphs from left nodes to right nodes, this package also provides
-// degree-preserving randomization of bipartite graphs.
+// digraphs from left nodes to right nodes, this package also covers
+// bipartite graphs. The package holds the arc encoding and the
+// digraph-side tooling (graphicality, Kleitman–Wang, bipartite
+// construction, I/O); the directed chains themselves run on the shared
+// engine, core.Engine[Arc].
 package digraph
 
 import (
 	"errors"
 	"fmt"
 
+	"gesmc/internal/constraint"
 	"gesmc/internal/graph"
 )
 
@@ -51,6 +55,18 @@ func SwitchTargets(a1, a2 Arc) (Arc, Arc) {
 // ignored: directed switches have none.
 func (a Arc) Targets(other Arc, _ bool) (Arc, Arc) {
 	return SwitchTargets(a, other)
+}
+
+// Directed reports true: an Arc is a directed edge
+// (switching.EdgeKind).
+func (Arc) Directed() bool { return true }
+
+// ConnectedComponents returns the number of weakly connected components
+// and the component label of every node — connectivity of the
+// underlying undirected graph, the certificate the directed constraint
+// layer checks. It mirrors graph.ConnectedComponents for digraphs.
+func ConnectedComponents(g *DiGraph) (int, []int32) {
+	return constraint.Components(g.n, g.arcs)
 }
 
 // DiGraph is a simple directed graph (no loops, no parallel arcs) with
@@ -138,21 +154,15 @@ func (g *DiGraph) CheckSimple() error {
 	return nil
 }
 
-// ArcSet returns the arcs as a set.
-func (g *DiGraph) ArcSet() map[Arc]struct{} {
-	s := make(map[Arc]struct{}, len(g.arcs))
-	for _, a := range g.arcs {
-		s[a] = struct{}{}
-	}
-	return s
-}
-
 // SameArcSet reports whether two digraphs hold identical arc sets.
 func SameArcSet(a, b *DiGraph) bool {
 	if a.M() != b.M() {
 		return false
 	}
-	set := a.ArcSet()
+	set := make(map[Arc]struct{}, len(a.arcs))
+	for _, x := range a.arcs {
+		set[x] = struct{}{}
+	}
 	for _, x := range b.arcs {
 		if _, ok := set[x]; !ok {
 			return false

@@ -4,8 +4,11 @@ import (
 	"sort"
 	"testing"
 
+	"gesmc/internal/core"
 	"gesmc/internal/graph"
+	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // randomDigraph samples a simple digraph by thinning the complete
@@ -22,10 +25,10 @@ func randomDigraph(n int, p float64, src rng.Source) *DiGraph {
 	return NewUnchecked(n, arcs)
 }
 
-func globalBatch(m int, src rng.Source) []Switch {
+func globalBatch(m int, src rng.Source) []core.Switch {
 	perm := rng.Perm(src, m)
 	l := rng.IntN(src, m/2+1)
-	return GlobalSwitches(perm, l, nil)
+	return core.GlobalSwitches(perm, l, nil)
 }
 
 func TestDirectedSuperstepMatchesSequential(t *testing.T) {
@@ -38,12 +41,12 @@ func TestDirectedSuperstepMatchesSequential(t *testing.T) {
 		switches := globalBatch(g.M(), src)
 
 		seq := g.Clone()
-		S := seq.ArcSet()
-		seqLegal := ExecuteSequential(seq.Arcs(), S, switches)
+		S := arcSet(seq)
+		seqLegal := core.ExecuteSequential(seq.Arcs(), S, switches)
 
 		for _, w := range []int{1, 2, 4} {
 			par := g.Clone()
-			r := NewSuperstepRunner(par.Arcs(), maxi(len(switches), 1), w)
+			r := switching.NewRunner(par.Arcs(), max(len(switches), 1), w)
 			r.Run(switches)
 			if r.Legal != seqLegal {
 				t.Fatalf("workers=%d: accepted %d, sequential %d", w, r.Legal, seqLegal)
@@ -57,11 +60,24 @@ func TestDirectedSuperstepMatchesSequential(t *testing.T) {
 	}
 }
 
-func maxi(a, b int) int {
-	if a > b {
-		return a
+// run is the shared engine's one-shot form over a digraph's arcs.
+func run(g *DiGraph, alg core.Algorithm, supersteps int, cfg core.Config) (*core.RunStats, error) {
+	return core.Run(g.N(), g.Arcs(), alg, supersteps, cfg)
+}
+
+// newEngine compiles the shared engine over a digraph's arcs.
+func newEngine(g *DiGraph, alg core.Algorithm, cfg core.Config) (*core.Engine[Arc], error) {
+	return core.NewEngine(g.N(), g.Arcs(), alg, cfg)
+}
+
+// arcSet builds the sequential reference's hash set over g's arcs,
+// bit-cast to graph.Edge as the engine stores them.
+func arcSet(g *DiGraph) *hashset.Set {
+	S := hashset.NewDefault(g.M())
+	for _, a := range g.Arcs() {
+		S.Insert(graph.Edge(a))
 	}
-	return b
+	return S
 }
 
 func TestDirectedChainsPreserveInvariants(t *testing.T) {
@@ -83,19 +99,19 @@ func TestDirectedChainsPreserveInvariants(t *testing.T) {
 	}
 
 	seq := g.Clone()
-	if _, err := SeqES(seq, 5, 3); err != nil {
+	if _, err := run(seq, core.AlgSeqES, 5, core.Config{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	check("SeqES", seq)
 
 	sgl := g.Clone()
-	if _, err := SeqGlobalES(sgl, 5, 0.01, 3); err != nil {
+	if _, err := run(sgl, core.AlgSeqGlobalES, 5, core.Config{LoopProb: 0.01, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	check("SeqGlobalES", sgl)
 
 	par := g.Clone()
-	stats, err := ParGlobalES(par, 5, 4, 0.01, 3)
+	stats, err := run(par, core.AlgParGlobalES, 5, core.Config{Workers: 4, LoopProb: 0.01, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +138,7 @@ func TestDirectedUniformity(t *testing.T) {
 	const runs = 4000
 	for r := 0; r < runs; r++ {
 		g := base.Clone()
-		if _, err := SeqGlobalES(g, 100, 0.05, uint64(r)*2654435761+7); err != nil {
+		if _, err := run(g, core.AlgSeqGlobalES, 100, core.Config{LoopProb: 0.05, Seed: uint64(r)*2654435761 + 7}); err != nil {
 			t.Fatal(err)
 		}
 		arcs := append([]Arc(nil), g.Arcs()...)
@@ -157,15 +173,15 @@ func TestDirectedParallelMatchesSequentialEndToEnd(t *testing.T) {
 	m := g.M()
 
 	par := g.Clone()
-	r := NewSuperstepRunner(par.Arcs(), m/2, 2)
+	r := switching.NewRunner(par.Arcs(), m/2, 2)
 	seq := g.Clone()
-	S := seq.ArcSet()
-	var buf []Switch
+	S := arcSet(seq)
+	var buf []core.Switch
 	for step := 0; step < 10; step++ {
 		perm := rng.Perm(src, m)
 		l := m / 2
-		buf = GlobalSwitches(perm, l, buf)
-		ExecuteSequential(seq.Arcs(), S, buf)
+		buf = core.GlobalSwitches(perm, l, buf)
+		core.ExecuteSequential(seq.Arcs(), S, buf)
 		r.Run(buf)
 		for i := range seq.Arcs() {
 			if seq.Arcs()[i] != par.Arcs()[i] {
@@ -200,7 +216,7 @@ func TestBipartiteFromDegreesAndRandomize(t *testing.T) {
 	}
 	// Randomizing preserves the bipartition (heads swap among right
 	// nodes only).
-	if _, err := ParGlobalES(g, 10, 2, 0.01, 9); err != nil {
+	if _, err := run(g, core.AlgParGlobalES, 10, core.Config{Workers: 2, LoopProb: 0.01, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckBipartite(g, len(leftDeg)); err != nil {

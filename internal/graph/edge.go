@@ -53,35 +53,16 @@ func (e Edge) String() string {
 	return fmt.Sprintf("{%d,%d}", e.U(), e.V())
 }
 
-// DirectedEdge is an ordered pair of endpoints. Definition 1 of the paper
-// rewires a pair of directed representations; the direction matters for
-// computing switch targets but edges are always stored canonically.
-type DirectedEdge struct {
-	Tail, Head Node
-}
-
-// Directed returns the canonical orientation (smaller node first), the
-// default orientation of the paper's Definition 1.
-func (e Edge) Directed() DirectedEdge {
-	return DirectedEdge{Tail: e.U(), Head: e.V()}
-}
-
-// Reversed returns the opposite orientation.
-func (d DirectedEdge) Reversed() DirectedEdge {
-	return DirectedEdge{Tail: d.Head, Head: d.Tail}
-}
-
-// Canonical returns the undirected canonical encoding.
-func (d DirectedEdge) Canonical() Edge {
-	return MakeEdge(d.Tail, d.Head)
-}
-
 // Targets computes the two target edges of the switch (e, other, g);
 // it is the method form of SwitchTargets satisfying the generic
 // kernel's edge constraint (switching.EdgeKind).
 func (e Edge) Targets(other Edge, g bool) (Edge, Edge) {
 	return SwitchTargets(e, other, g)
 }
+
+// Directed reports false: an Edge is an undirected edge
+// (switching.EdgeKind).
+func (Edge) Directed() bool { return false }
 
 // SwitchTargets computes the two target edges of an edge switch with
 // direction bit g applied to the directed representations of e1 and e2

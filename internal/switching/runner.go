@@ -311,7 +311,7 @@ func (r *Runner[E]) decide(sw Switch, k int, worker int) uint32 {
 	t4 := E(t.Key(base + 3))
 
 	st := conc.StatusLegal
-	if isLoop(t3) || isLoop(t4) || e1 == e2 ||
+	if IsLoop(t3) || IsLoop(t4) || e1 == e2 ||
 		t3 == e1 || t3 == e2 || t4 == e1 || t4 == e2 {
 		// Loops, or targets equal to own sources ("already exists in
 		// E" per Definition 1); e1 == e2 can only arise from a caller

@@ -42,16 +42,19 @@ type Switch struct {
 // EdgeKind constrains the 64-bit edge encodings the kernel is generic
 // over. Targets computes the two target edges of the switch (e, other,
 // g) — the function τ of Definition 1 for undirected edges, the head
-// exchange for directed arcs.
+// exchange for directed arcs. Directed reports which of the two the
+// encoding is; it must not depend on the receiver's value, so chains
+// may call it on the zero value.
 type EdgeKind[E any] interface {
 	~uint64
 	Targets(other E, g bool) (E, E)
+	Directed() bool
 }
 
-// isLoop reports whether both endpoints of e coincide. Canonical edges
+// IsLoop reports whether both endpoints of e coincide. Canonical edges
 // and directed arcs pack their endpoints identically (32 bits each), so
 // one implementation serves every instantiation.
-func isLoop[E EdgeKind[E]](e E) bool {
+func IsLoop[E EdgeKind[E]](e E) bool {
 	x := uint64(e)
 	return uint32(x>>32) == uint32(x)
 }

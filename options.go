@@ -7,19 +7,18 @@ import (
 
 // samplerConfig is the resolved configuration of a Sampler.
 type samplerConfig struct {
-	algorithm        Algorithm
-	workers          int
-	seed             uint64
-	swapsPerEdge     float64
-	swapsSet         bool // WithSwapsPerEdge called explicitly (default is 10 either way)
-	burnIn           int // supersteps before the first sample; 0 derives from swapsPerEdge
-	thinning         int // supersteps between samples; 0 derives from burn-in
-	loopProb         float64
-	chunkBytes       int
-	prefetch         bool
-	sampleViaBuckets bool
-	progress         func(Progress)
-	constraints      []Constraint
+	algorithm    Algorithm
+	workers      int
+	seed         uint64
+	swapsPerEdge float64
+	swapsSet     bool // WithSwapsPerEdge called explicitly (default is 10 either way)
+	burnIn       int  // supersteps before the first sample; 0 derives from swapsPerEdge
+	thinning     int  // supersteps between samples; 0 derives from burn-in
+	loopProb     float64
+	chunkBytes   int
+	prefetch     bool
+	progress     func(Progress)
+	constraints  []Constraint
 }
 
 func defaultSamplerConfig() samplerConfig {
@@ -71,10 +70,10 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // WithWorkers sets the parallelism degree P of the parallel algorithms
-// — NaiveParES, ParES, ParGlobalES (undirected, directed, and
-// bipartite targets), and the Curveball/GlobalCurveball trade chains —
-// and is ignored by the sequential ones. The trade chains produce
-// bit-identical results for every worker count. Default: 1.
+// — ParES, ParGlobalES (undirected, directed, and bipartite targets),
+// and the Curveball/GlobalCurveball trade chains — and is ignored by
+// the sequential ones. The trade chains produce bit-identical results
+// for every worker count. Default: 1.
 func WithWorkers(p int) Option {
 	return func(c *samplerConfig) error {
 		if p < 1 {
@@ -174,15 +173,6 @@ func WithChunkBytes(bytes int) Option {
 			return fmt.Errorf("%w: got %d", ErrInvalidChunkBytes, bytes)
 		}
 		c.chunkBytes = bytes
-		return nil
-	}
-}
-
-// WithSampleViaBuckets makes SeqES sample edges by probing random hash
-// buckets instead of the auxiliary edge array (§5.3).
-func WithSampleViaBuckets(on bool) Option {
-	return func(c *samplerConfig) error {
-		c.sampleViaBuckets = on
 		return nil
 	}
 }

@@ -17,20 +17,11 @@ const (
 	SeqES Algorithm = iota
 	// SeqGlobalES is the sequential G-ES-MC (Definition 3).
 	SeqGlobalES
-	// NaiveParES is the inexact parallel baseline (§5.1). It does not
-	// faithfully implement ES-MC; use it only for performance studies.
-	NaiveParES
 	// ParES is the exact parallel ES-MC (Algorithm 2).
 	ParES
 	// ParGlobalES is the exact parallel G-ES-MC (Algorithm 3) — the
 	// paper's headline algorithm and the recommended default.
 	ParGlobalES
-	// AdjListES is the unsorted adjacency-list sequential baseline
-	// (NetworKit-style data structure).
-	AdjListES
-	// AdjSortES is the sorted adjacency-list sequential baseline
-	// (Gengraph-style data structure).
-	AdjSortES
 	// Curveball is the Curveball trade chain (Carstens, Berger & Strona
 	// 2016): one superstep performs ⌊n/2⌋ uniformly random trades, each
 	// shuffling the disjoint neighborhoods of two nodes. Trades execute
@@ -59,14 +50,15 @@ const (
 	Exact
 )
 
+// algNames maps the switching chains to the core engine's algorithms.
+// The paper's experiment-only baselines (NaiveParES, AdjListES,
+// AdjSortES) are not served: the naive chain is not even
+// seed-deterministic. cmd/experiments runs them for Table 4.
 var algNames = map[Algorithm]core.Algorithm{
 	SeqES:       core.AlgSeqES,
 	SeqGlobalES: core.AlgSeqGlobalES,
-	NaiveParES:  core.AlgNaiveParES,
 	ParES:       core.AlgParES,
 	ParGlobalES: core.AlgParGlobalES,
-	AdjListES:   core.AlgAdjListES,
-	AdjSortES:   core.AlgAdjSortES,
 }
 
 // curveballNames names the trade chains, which have no core counterpart.
@@ -123,8 +115,8 @@ func (e *ParseError) Unwrap() error { return ErrUnknownAlgorithm }
 // Algorithms lists all implementations in a stable order.
 func Algorithms() []Algorithm {
 	return []Algorithm{
-		SeqES, SeqGlobalES, NaiveParES, ParES, ParGlobalES,
-		AdjListES, AdjSortES, Curveball, GlobalCurveball, Exact,
+		SeqES, SeqGlobalES, ParES, ParGlobalES,
+		Curveball, GlobalCurveball, Exact,
 	}
 }
 
@@ -136,7 +128,9 @@ func Algorithms() []Algorithm {
 // validates its inputs and amortizes engine setup across samples.
 // Options remains supported as a thin conversion layer.
 type Options struct {
-	// Algorithm selects the implementation; default ParGlobalES.
+	// Algorithm selects the implementation. The zero value is SeqES;
+	// set ParGlobalES explicitly for the paper's headline chain (the
+	// default of NewSampler).
 	Algorithm Algorithm
 	// Workers is the parallelism degree P; default 1. Negative values
 	// are rejected with ErrInvalidWorkers.
@@ -158,9 +152,6 @@ type Options struct {
 	LoopProb float64
 	// Prefetch enables the hash-bucket pre-touch pipeline (§5.4).
 	Prefetch bool
-	// SampleViaBuckets makes SeqES sample edges by probing random hash
-	// buckets instead of the auxiliary edge array (§5.3).
-	SampleViaBuckets bool
 }
 
 func (o Options) supersteps() int {
@@ -187,9 +178,6 @@ func (o Options) samplerOptions() []Option {
 	}
 	if o.Prefetch {
 		opts = append(opts, WithPrefetch(true))
-	}
-	if o.SampleViaBuckets {
-		opts = append(opts, WithSampleViaBuckets(true))
 	}
 	return opts
 }

@@ -9,7 +9,6 @@ import (
 	"gesmc/internal/constraint"
 	"gesmc/internal/core"
 	"gesmc/internal/curveball"
-	"gesmc/internal/digraph"
 	"gesmc/internal/exact"
 	"gesmc/internal/graph"
 	"gesmc/internal/switching"
@@ -401,16 +400,26 @@ func (s *Sampler) Collect(ctx context.Context, count int) ([]Sample, error) {
 
 // ---- engine adapters ----
 
-// graphEngine adapts core.Engine (the seven switching implementations)
-// to the sampler.
-type graphEngine struct {
-	g   *Graph
-	eng *core.Engine
+// switchTarget is a target whose edge list a switching engine
+// rewires in place: *Graph or *DiGraph.
+type switchTarget interface {
+	// snapshot deep-copies the current state into a Sample's fields.
+	snapshot() (*Graph, *DiGraph)
+	// invalidate drops caches built over the pre-switch state.
+	invalidate()
+	IsConnected() bool
 }
 
-func (e *graphEngine) steps(ctx context.Context, k int) (engineStats, error) {
+// switchEngine adapts core.Engine — the four switching chains, over
+// undirected edges and directed arcs alike — to the sampler.
+type switchEngine[E switching.EdgeKind[E]] struct {
+	t   switchTarget
+	eng *core.Engine[E]
+}
+
+func (e *switchEngine[E]) steps(ctx context.Context, k int) (engineStats, error) {
 	rs, err := e.eng.Steps(ctx, k)
-	e.g.invalidate()
+	e.t.invalidate()
 	return engineStats{
 		supersteps:  rs.Supersteps,
 		attempted:   rs.Attempted,
@@ -427,9 +436,45 @@ func (e *graphEngine) steps(ctx context.Context, k int) (engineStats, error) {
 	}, err
 }
 
-func (e *graphEngine) snapshot() (*Graph, *DiGraph) { return e.g.Clone(), nil }
+func (e *switchEngine[E]) snapshot() (*Graph, *DiGraph) { return e.t.snapshot() }
 
-func (e *graphEngine) close() { e.eng.Close() }
+func (e *switchEngine[E]) close() { e.eng.Close() }
+
+// newSwitchEngine compiles the target's constraints and edge list (n
+// nodes) into the core engine of one of the four switching chains; the
+// caller has checked that cfg.algorithm is one of them.
+func newSwitchEngine[E switching.EdgeKind[E]](t switchTarget, n int, edges []E, cfg *samplerConfig) (samplerEngine, error) {
+	var spec *constraint.Spec
+	if len(cfg.constraints) > 0 {
+		present := make(map[uint64]struct{}, len(edges))
+		for _, e := range edges {
+			present[uint64(e)] = struct{}{}
+		}
+		has := func(e uint64) bool { _, ok := present[e]; return ok }
+		var err error
+		spec, err = compileConstraints(cfg.constraints, n, E(0).Directed(), has, t.IsConnected)
+		if err != nil {
+			return nil, err
+		}
+	}
+	eng, err := core.NewEngine(n, edges, algNames[cfg.algorithm], core.Config{
+		Workers:    cfg.workers,
+		Seed:       cfg.seed,
+		LoopProb:   cfg.loopProb,
+		Prefetch:   cfg.prefetch,
+		ChunkBytes: cfg.chunkBytes,
+		Constraint: spec,
+	})
+	switch {
+	case errors.Is(err, core.ErrTooSmall):
+		return nil, fmt.Errorf("%w: m=%d", ErrGraphTooSmall, len(edges))
+	case errors.Is(err, core.ErrUnsupportedAlgorithm):
+		return nil, fmt.Errorf("%w: %v", ErrUnsupportedAlgorithm, err)
+	case err != nil:
+		return nil, err
+	}
+	return &switchEngine[E]{t: t, eng: eng}, nil
+}
 
 // curveballEngine adapts the parallel trade kernel to the sampler. One
 // superstep is one global trade (GlobalCurveball) or ⌊n/2⌋ uniformly
@@ -553,37 +598,8 @@ func newExactEngine(g *Graph, cfg *samplerConfig) (samplerEngine, error) {
 	return &exactEngine{g: g, eng: eng}, nil
 }
 
-// digraphEngine adapts digraph.Engine (directed and bipartite targets)
-// to the sampler.
-type digraphEngine struct {
-	g   *DiGraph
-	eng *digraph.Engine
-}
-
-func (e *digraphEngine) steps(ctx context.Context, k int) (engineStats, error) {
-	rs, err := e.eng.Steps(ctx, k)
-	return engineStats{
-		supersteps:  rs.Supersteps,
-		attempted:   rs.Attempted,
-		legal:       rs.Legal,
-		internal:    rs.InternalSupersteps,
-		totalRounds: rs.TotalRounds,
-		maxRounds:   rs.MaxRounds,
-		firstRound:  rs.FirstRoundTime,
-		laterRounds: rs.LaterRoundsTime,
-		vetoed:      rs.Vetoed,
-		escAttempts: rs.EscapeAttempts,
-		escMoves:    rs.EscapeMoves,
-		duration:    rs.Duration,
-	}, err
-}
-
-func (e *digraphEngine) snapshot() (*Graph, *DiGraph) { return nil, e.g.Clone() }
-
-func (e *digraphEngine) close() { e.eng.Close() }
-
-// newSamplerEngine compiles an undirected target: the seven switching
-// implementations plus the two Curveball chains.
+// newSamplerEngine compiles an undirected target: the four switching
+// chains, the two Curveball chains, and the exact sampler.
 func (g *Graph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
 	if g == nil || g.g == nil {
 		return nil, ErrNilTarget
@@ -609,56 +625,10 @@ func (g *Graph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
 			global: cfg.algorithm == GlobalCurveball,
 		}, nil
 	}
-	ca, ok := algNames[cfg.algorithm]
-	if !ok {
+	if _, ok := algNames[cfg.algorithm]; !ok {
 		return nil, fmt.Errorf("%w: Algorithm(%d)", ErrUnknownAlgorithm, int(cfg.algorithm))
 	}
-	var spec *constraint.Spec
-	if len(cfg.constraints) > 0 {
-		switch cfg.algorithm {
-		case SeqES, SeqGlobalES, ParES, ParGlobalES:
-		default:
-			return nil, fmt.Errorf("%w: %s", ErrUnsupportedConstraint, cfg.algorithm)
-		}
-		if cfg.sampleViaBuckets {
-			return nil, fmt.Errorf("%w: WithSampleViaBuckets", ErrUnsupportedConstraint)
-		}
-		edgeSet := make(map[uint64]struct{}, g.g.M())
-		for _, e := range g.g.Edges() {
-			edgeSet[uint64(e)] = struct{}{}
-		}
-		has := func(e uint64) bool { _, ok := edgeSet[e]; return ok }
-		var err error
-		spec, err = compileConstraints(cfg.constraints, g.g.N(), false, has, g.IsConnected)
-		if err != nil {
-			return nil, err
-		}
-	}
-	eng, err := core.NewEngine(g.g, ca, core.Config{
-		Workers:          cfg.workers,
-		Seed:             cfg.seed,
-		LoopProb:         cfg.loopProb,
-		Prefetch:         cfg.prefetch,
-		SampleViaBuckets: cfg.sampleViaBuckets,
-		ChunkBytes:       cfg.chunkBytes,
-		Constraint:       spec,
-	})
-	if err != nil {
-		if errors.Is(err, core.ErrTooSmall) {
-			return nil, fmt.Errorf("%w: m=%d", ErrGraphTooSmall, g.g.M())
-		}
-		return nil, err
-	}
-	return &graphEngine{g: g, eng: eng}, nil
-}
-
-// dirAlgs maps the public enum to the directed implementations.
-// Directed switches need no direction bit, so ES-MC's data-structure
-// ablations add nothing in the directed setting.
-var dirAlgs = map[Algorithm]digraph.Algorithm{
-	SeqES:       digraph.AlgSeqES,
-	SeqGlobalES: digraph.AlgSeqGlobalES,
-	ParGlobalES: digraph.AlgParGlobalES,
+	return newSwitchEngine(g, g.g.N(), g.g.Edges(), cfg)
 }
 
 // newSamplerEngine compiles a directed (or bipartite) target.
@@ -666,37 +636,11 @@ func (g *DiGraph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
 	if g == nil || g.g == nil {
 		return nil, ErrNilTarget
 	}
-	da, ok := dirAlgs[cfg.algorithm]
-	if !ok {
+	// The trade chains and the exact tier are undirected; the engine
+	// itself refuses directed ParES.
+	if _, ok := algNames[cfg.algorithm]; !ok {
 		return nil, fmt.Errorf("%w: directed randomization supports SeqES, SeqGlobalES, ParGlobalES; got %s",
 			ErrUnsupportedAlgorithm, cfg.algorithm)
 	}
-	var spec *constraint.Spec
-	if len(cfg.constraints) > 0 {
-		arcSet := make(map[uint64]struct{}, g.g.M())
-		for _, a := range g.g.Arcs() {
-			arcSet[uint64(a)] = struct{}{}
-		}
-		has := func(e uint64) bool { _, ok := arcSet[e]; return ok }
-		var err error
-		spec, err = compileConstraints(cfg.constraints, g.g.N(), true, has, g.IsConnected)
-		if err != nil {
-			return nil, err
-		}
-	}
-	eng, err := digraph.NewEngine(g.g, da, digraph.Config{
-		Workers:    cfg.workers,
-		Seed:       cfg.seed,
-		LoopProb:   cfg.loopProb,
-		Prefetch:   cfg.prefetch,
-		ChunkBytes: cfg.chunkBytes,
-		Constraint: spec,
-	})
-	if err != nil {
-		if errors.Is(err, digraph.ErrTooSmall) {
-			return nil, fmt.Errorf("%w: m=%d", ErrGraphTooSmall, g.g.M())
-		}
-		return nil, err
-	}
-	return &digraphEngine{g: g, eng: eng}, nil
+	return newSwitchEngine(g, g.g.N(), g.g.Arcs(), cfg)
 }

@@ -64,7 +64,7 @@ func TestSamplerUnsupportedDirectedAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []Algorithm{NaiveParES, ParES, AdjListES, AdjSortES, Curveball, GlobalCurveball} {
+	for _, alg := range []Algorithm{ParES, Curveball, GlobalCurveball, Exact} {
 		if _, err := NewSampler(g, WithAlgorithm(alg)); !errors.Is(err, ErrUnsupportedAlgorithm) {
 			t.Errorf("%v on digraph: err = %v, want ErrUnsupportedAlgorithm", alg, err)
 		}
