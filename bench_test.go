@@ -61,7 +61,7 @@ func BenchmarkTable4(b *testing.B) {
 	pld, _, _ := benchGraphs(b)
 	for _, alg := range []core.Algorithm{core.AlgSeqES, core.AlgSeqGlobalES} {
 		b.Run(alg.String(), func(b *testing.B) {
-			runAlg(b, pld, alg, 20, core.Config{Seed: 1, Prefetch: true})
+			runAlg(b, pld, alg, 20, core.Config{Seed: 1})
 		})
 	}
 	for _, alg := range []core.Algorithm{core.AlgParES, core.AlgParGlobalES} {
@@ -88,24 +88,6 @@ func BenchmarkFig2Autocorr(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				autocorr.Analyze(g, chain, 48, thinnings, 1e-6, uint64(i))
 			}
-		})
-	}
-}
-
-// BenchmarkFig5Prefetch regenerates the Figure 5 comparison: sequential
-// and parallel G-ES-MC with the bucket pre-touch pipeline off and on.
-func BenchmarkFig5Prefetch(b *testing.B) {
-	pld, _, _ := benchGraphs(b)
-	for _, prefetch := range []bool{false, true} {
-		name := "off"
-		if prefetch {
-			name = "on"
-		}
-		b.Run("SeqES/prefetch="+name, func(b *testing.B) {
-			runAlg(b, pld, core.AlgSeqES, 20, core.Config{Seed: 1, Prefetch: prefetch})
-		})
-		b.Run("SeqGlobalES/prefetch="+name, func(b *testing.B) {
-			runAlg(b, pld, core.AlgSeqGlobalES, 20, core.Config{Seed: 1, Prefetch: prefetch})
 		})
 	}
 }

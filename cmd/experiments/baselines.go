@@ -335,7 +335,7 @@ func newBucketsChain(g *graph.Graph, seed uint64) *bucketsChain {
 	for i, e := range E {
 		pos[e] = i
 	}
-	return &bucketsChain{E: E, S: hashset.FromEdges(E, 0.5), src: rng.NewMT19937(seed), pos: pos}
+	return &bucketsChain{E: E, S: hashset.FromEdges(E), src: rng.NewMT19937(seed), pos: pos}
 }
 
 func (s *bucketsChain) step(stats *baselineStats) {

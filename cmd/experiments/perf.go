@@ -88,7 +88,7 @@ func table4(opt options) error {
 	for _, c := range corpus {
 		fmt.Printf("%-20s %-9d %-9d %-6d |", c.Name, c.G.N(), c.G.M(), c.G.MaxDegree())
 		for _, a := range seqAlgs {
-			d, err := timeColumn(c.G, a, supersteps, core.Config{Seed: opt.seed, Prefetch: true})
+			d, err := timeColumn(c.G, a, supersteps, core.Config{Seed: opt.seed})
 			if err != nil {
 				return err
 			}
@@ -139,8 +139,9 @@ func fmtDur(d time.Duration) string {
 
 // fig5 reproduces Figure 5: runtimes of SeqES, SeqGlobalES (P=1) and
 // ParGlobalES (P=max) over the corpus, and the speed-up of ParGlobalES
-// over SeqGlobalES, with the prefetch pipeline off (left column) and on
-// (right column).
+// over SeqGlobalES. Every chain runs as shipped; the §5.4 pre-touch
+// comparison of the sequential executors is BenchmarkSeqExecutor in
+// internal/core.
 func fig5(opt options) error {
 	supersteps := 20
 	minM := 5000
@@ -154,28 +155,22 @@ func fig5(opt options) error {
 		return err
 	}
 
-	fmt.Printf("%-18s %-9s | %-33s | %-33s\n", "", "", "prefetch OFF", "prefetch ON")
-	fmt.Printf("%-18s %-9s | %-10s %-10s %-8s spdup | %-10s %-10s %-8s spdup\n",
-		"graph", "m", "SeqES", "SeqGES", "ParGES", "SeqES", "SeqGES", "ParGES")
+	fmt.Printf("%-18s %-9s | %-10s %-10s %-8s spdup\n", "graph", "m", "SeqES", "SeqGES", "ParGES")
 	for _, c := range corpus {
-		row := fmt.Sprintf("%-18s %-9d |", c.Name, c.G.M())
-		for _, prefetch := range []bool{false, true} {
-			dSeq, _, err := timeRun(c.G, core.AlgSeqES, supersteps, core.Config{Seed: opt.seed, Prefetch: prefetch})
-			if err != nil {
-				return err
-			}
-			dSeqG, _, err := timeRun(c.G, core.AlgSeqGlobalES, supersteps, core.Config{Seed: opt.seed, Prefetch: prefetch})
-			if err != nil {
-				return err
-			}
-			dPar, _, err := timeRun(c.G, core.AlgParGlobalES, supersteps, core.Config{Seed: opt.seed, Workers: opt.workers, Prefetch: prefetch})
-			if err != nil {
-				return err
-			}
-			row += fmt.Sprintf(" %-10s %-10s %-8s %-5.2f |",
-				fmtDur(dSeq), fmtDur(dSeqG), fmtDur(dPar), float64(dSeqG)/float64(dPar))
+		dSeq, _, err := timeRun(c.G, core.AlgSeqES, supersteps, core.Config{Seed: opt.seed})
+		if err != nil {
+			return err
 		}
-		fmt.Println(row)
+		dSeqG, _, err := timeRun(c.G, core.AlgSeqGlobalES, supersteps, core.Config{Seed: opt.seed})
+		if err != nil {
+			return err
+		}
+		dPar, _, err := timeRun(c.G, core.AlgParGlobalES, supersteps, core.Config{Seed: opt.seed, Workers: opt.workers})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%-18s %-9d | %-10s %-10s %-8s %-5.2f\n", c.Name, c.G.M(),
+			fmtDur(dSeq), fmtDur(dSeqG), fmtDur(dPar), float64(dSeqG)/float64(dPar))
 	}
 	fmt.Println("\npaper shape: speed-up grows with graph size (paper: up to ~12x at P=32;")
 	fmt.Printf("this host has %d hardware thread(s), so wall-clock speed-up is bounded accordingly).\n", opt.workers)

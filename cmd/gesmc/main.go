@@ -69,7 +69,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "random seed")
 		stats     = flag.Bool("stats", false, "print run statistics")
 		metrics   = flag.Bool("metrics", false, "print graph metrics before and after (undirected targets)")
-		prefetch  = flag.Bool("prefetch", true, "enable hash-bucket pre-touch pipeline")
 		connected = flag.Bool("connected", false, "constrain sampling to connected graphs (the input must be connected)")
 		server    = flag.String("server", "", "forward sampling to a gesmcd daemon or coordinator at this URL instead of sampling in-process")
 		retries   = flag.Int("retries", 2, "with -server: retries for transient failures (0 disables); a stream cut mid-way resumes from the last delivered sample")
@@ -131,7 +130,6 @@ func main() {
 		gesmc.WithAlgorithm(alg),
 		gesmc.WithWorkers(max(*workers, 1)),
 		gesmc.WithSeed(*seed),
-		gesmc.WithPrefetch(*prefetch),
 	}
 	if *uniformity != "exact" {
 		opts = append(opts, gesmc.WithSwapsPerEdge(*swaps))

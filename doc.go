@@ -23,8 +23,7 @@
 // allocate a few objects per superstep for their random permutations).
 // Call Sampler.Close to release the gang deterministically (a
 // finalizer reclaims leaked ones).
-// WithPrefetch enables the §5.4 pre-touch pipeline in every chain,
-// sequential and parallel alike, without changing any result.
+//
 // The algorithms:
 //
 //	Algorithm        chain     targets              parallel  notes
@@ -108,12 +107,15 @@
 // with "uniformity": "exact", and every streamed line's stats block
 // is labeled with the tier that produced it.
 //
-// Functional options (WithAlgorithm, WithWorkers, WithSeed,
-// WithThinning, WithBurnIn, WithLoopProb, WithConstraint,
-// WithProgress, ...) validate eagerly and return the typed errors of
-// errors.go; context cancellation is honored at superstep boundaries,
-// always leaving the target a valid simple graph with the original
-// degrees.
+// The nine functional options (WithAlgorithm, WithWorkers, WithSeed,
+// WithSwapsPerEdge, WithBurnIn, WithThinning, WithLoopProb,
+// WithConstraint, WithProgress) validate eagerly and return the typed
+// errors of errors.go. There are no cache-tuning options: the parallel
+// kernel's chunk grain derives from the detected cache topology, and
+// the sequential chains switch on the §5.4 bucket pre-touch pipeline
+// by themselves once their hash set outgrows the per-core L2 cache.
+// Context cancellation is honored at superstep boundaries, always
+// leaving the target a valid simple graph with the original degrees.
 //
 // Construction helpers cover edge lists (NewGraph, ReadGraph), degree
 // sequences (FromDegrees via Havel-Hakimi, FromInOutDegrees via

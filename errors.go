@@ -21,16 +21,13 @@ var (
 	// ErrInvalidLoopProb is returned for a loop probability outside
 	// [0, 1].
 	ErrInvalidLoopProb = errors.New("gesmc: loop probability must lie in [0, 1]")
-	// ErrInvalidSwapsPerEdge is returned for a non-positive or non-finite
-	// swaps-per-edge target.
-	ErrInvalidSwapsPerEdge = errors.New("gesmc: swaps per edge must be positive and finite")
+	// ErrInvalidSwapsPerEdge is returned for a swaps-per-edge target
+	// that is not positive or exceeds MaxSwapsPerEdge.
+	ErrInvalidSwapsPerEdge = errors.New("gesmc: swaps per edge must be positive and at most MaxSwapsPerEdge")
 	// ErrInvalidBurnIn is returned for a burn-in below one superstep.
 	ErrInvalidBurnIn = errors.New("gesmc: burn-in must be at least 1 superstep")
 	// ErrInvalidThinning is returned for a thinning below one superstep.
 	ErrInvalidThinning = errors.New("gesmc: thinning must be at least 1 superstep")
-	// ErrInvalidChunkBytes is returned for a negative WithChunkBytes
-	// value.
-	ErrInvalidChunkBytes = errors.New("gesmc: chunk bytes must be non-negative")
 	// ErrInvalidSupersteps is returned when a negative superstep count is
 	// requested from Step.
 	ErrInvalidSupersteps = errors.New("gesmc: superstep count must be non-negative")

@@ -133,7 +133,7 @@ func (g *Graph) HasEdge(u, v uint32) bool {
 		return false
 	}
 	if g.idx == nil {
-		g.idx = hashset.FromEdges(g.g.Edges(), 0.5)
+		g.idx = hashset.FromEdges(g.g.Edges())
 	}
 	return g.idx.Contains(graph.MakeEdge(u, v))
 }

@@ -41,7 +41,7 @@ func Analyze(g *graph.Graph, chain Chain, supersteps int, thinnings []int, loopP
 	work := g.Clone()
 	m := work.M()
 	E := work.Edges()
-	S := hashset.FromEdges(E, 0.5)
+	S := hashset.FromEdges(E)
 	src := rng.NewMT19937(seed)
 
 	tracked := append([]graph.Edge(nil), g.Edges()...)

@@ -7,9 +7,9 @@ import (
 
 // GraphOps is the minimal edge-set interface Escape needs to execute
 // switches: membership, insertion, and erasure over the chain's
-// authoritative set. Chains adapt their own set type (hashset.Set,
-// conc.EdgeSet, map[Arc]struct{}) with three closures built once at
-// engine construction.
+// authoritative set. Chains adapt their own set type (hashset.Set for
+// the sequential chains, conc.EdgeSet for the parallel ones) with
+// three closures built once at engine construction.
 type GraphOps[E any] struct {
 	Contains func(E) bool
 	Insert   func(E)

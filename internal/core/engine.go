@@ -156,10 +156,6 @@ func (e *Engine[E]) Steps(ctx context.Context, k int) (RunStats, error) {
 func newRunner[E switching.EdgeKind[E]](edges []E, maxSwitches int, cfg Config, cons *constraint.Runtime[E]) *switching.Runner[E] {
 	r := switching.NewRunner(edges, maxSwitches, cfg.workers())
 	r.Pessimistic = cfg.PessimisticRounds
-	r.Prefetch = cfg.Prefetch
-	if cfg.ChunkBytes > 0 {
-		r.Pool().SetChunkBytes(cfg.ChunkBytes)
-	}
 	if cons != nil {
 		bindRunner(cons, r)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"gesmc/internal/conc"
 	"gesmc/internal/constraint"
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
@@ -19,7 +20,7 @@ var ErrTooSmall = errors.New("core: graph has fewer than 2 edges")
 // the parallel kernel: both pack two 32-bit endpoints, and the set
 // hashes the 64-bit word without canonicalizing it.
 func newEdgeSet[E switching.EdgeKind[E]](edges []E) *hashset.Set {
-	S := hashset.NewDefault(len(edges))
+	S := hashset.New(len(edges))
 	for _, e := range edges {
 		S.Insert(graph.Edge(e))
 	}
@@ -61,10 +62,10 @@ func ExecuteSequential[E switching.EdgeKind[E]](edges []E, S *hashset.Set, switc
 // computed (and their buckets touched) ahead of execution.
 const pipelineDepth = 4
 
-// executeSequentialPrefetch is ExecuteSequential with the bucket
-// pre-touch pipeline enabled. Touching is only a memory hint — staleness
+// executeSequentialPipelined is ExecuteSequential with the bucket
+// pre-touch pipeline of §5.4. Touching is only a memory hint — staleness
 // cannot affect correctness, exactly as with hardware prefetches.
-func executeSequentialPrefetch[E switching.EdgeKind[E]](edges []E, S *hashset.Set, switches []Switch) int64 {
+func executeSequentialPipelined[E switching.EdgeKind[E]](edges []E, S *hashset.Set, switches []Switch) int64 {
 	var legal int64
 	n := len(switches)
 	for base := 0; base < n; base += pipelineDepth {
@@ -85,15 +86,24 @@ func executeSequentialPrefetch[E switching.EdgeKind[E]](edges []E, S *hashset.Se
 	return legal
 }
 
+// pipelined decides whether the sequential chains run the pipelined
+// executor on a hash set of the given bucket count (8 bytes each), on a
+// core with l2Bytes of private cache. The pre-touch only pays once the
+// set outgrows L2: below that its probes mostly hit cache and the extra
+// loads are pure overhead.
+func pipelined(buckets, l2Bytes int) bool {
+	return 8*buckets >= l2Bytes
+}
+
 // seqExec is the execution half shared by the sequential chains: the
 // persistent edge array plus hash set, and the constraint runtime when
 // one is active.
 type seqExec[E switching.EdgeKind[E]] struct {
-	E        []E
-	S        *hashset.Set
-	src      rng.Source
-	prefetch bool
-	cons     *constraint.Runtime[E]
+	E         []E
+	S         *hashset.Set
+	src       rng.Source
+	pipelined bool
+	cons      *constraint.Runtime[E]
 }
 
 func newSeqExec[E switching.EdgeKind[E]](edges []E, cfg Config, cons *constraint.Runtime[E]) seqExec[E] {
@@ -101,7 +111,13 @@ func newSeqExec[E switching.EdgeKind[E]](edges []E, cfg Config, cons *constraint
 	if cons != nil {
 		bindHashSet(cons, S)
 	}
-	return seqExec[E]{E: edges, S: S, src: rng.NewMT19937(cfg.Seed), prefetch: cfg.Prefetch, cons: cons}
+	return seqExec[E]{
+		E:         edges,
+		S:         S,
+		src:       rng.NewMT19937(cfg.Seed),
+		pipelined: pipelined(S.Buckets(), conc.Topology().L2Bytes),
+		cons:      cons,
+	}
 }
 
 // run executes switches in order. A constrained run may draw escape
@@ -114,8 +130,8 @@ func (x *seqExec[E]) run(switches []Switch, stats *RunStats) {
 		var cc constraint.Counters
 		x.cons.ExecuteSequential(x.E, switches, x.src, &cc)
 		addCounters(stats, &cc)
-	case x.prefetch:
-		stats.Legal += executeSequentialPrefetch(x.E, x.S, switches)
+	case x.pipelined:
+		stats.Legal += executeSequentialPipelined(x.E, x.S, switches)
 	default:
 		stats.Legal += ExecuteSequential(x.E, x.S, switches)
 	}

@@ -14,7 +14,7 @@ import (
 // Definition 1 and returns the resulting edge list and accepted count.
 func runSequentialReference(g *graph.Graph, switches []Switch) ([]graph.Edge, int64) {
 	c := g.Clone()
-	S := hashset.FromEdges(c.Edges(), 0.5)
+	S := hashset.FromEdges(c.Edges())
 	legal := ExecuteSequential(c.Edges(), S, switches)
 	return c.Edges(), legal
 }
@@ -212,7 +212,7 @@ func TestSuperstepManyConsecutive(t *testing.T) {
 	m := g.M()
 
 	seq := g.Clone()
-	S := hashset.FromEdges(seq.Edges(), 0.5)
+	S := hashset.FromEdges(seq.Edges())
 	par := g.Clone()
 	r := switching.NewRunner(par.Edges(), m/2, 4)
 

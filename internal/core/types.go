@@ -81,15 +81,6 @@ type Config struct {
 	Seed uint64
 	// LoopProb is P_L of G-ES-MC. Zero selects DefaultLoopProb.
 	LoopProb float64
-	// Prefetch enables the software pipeline that pre-touches hash
-	// buckets (the Go analogue of §5.4's prefetch instructions).
-	// Results are bit-identical with the pipeline on or off.
-	Prefetch bool
-	// ChunkBytes overrides the topology-derived dynamic-chunk grain of
-	// the parallel phases: each work-stealing claim covers about
-	// ChunkBytes of edge data. Zero keeps the cache-aware default
-	// (conc.Topology-derived). Results are bit-identical for any value.
-	ChunkBytes int
 	// PessimisticRounds makes ParallelSuperstep publish decisions only
 	// at round barriers, simulating the worst-case scheduler analyzed
 	// in Theorems 2-3. Results are identical; only round counts change.

@@ -36,7 +36,7 @@ func NewState(g *graph.Graph) *State {
 	s := &State{
 		n:   n,
 		adj: make([][]graph.Node, n),
-		set: hashset.FromEdges(g.Edges(), 0.5),
+		set: hashset.FromEdges(g.Edges()),
 	}
 	deg := g.Degrees()
 	for v := 0; v < n; v++ {

@@ -73,7 +73,7 @@ func newEngine(g *DiGraph, alg core.Algorithm, cfg core.Config) (*core.Engine[Ar
 // arcSet builds the sequential reference's hash set over g's arcs,
 // bit-cast to graph.Edge as the engine stores them.
 func arcSet(g *DiGraph) *hashset.Set {
-	S := hashset.NewDefault(g.M())
+	S := hashset.New(g.M())
 	for _, a := range g.Arcs() {
 		S.Insert(graph.Edge(a))
 	}

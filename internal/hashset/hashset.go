@@ -10,6 +10,7 @@ package hashset
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
@@ -23,25 +24,17 @@ type Set struct {
 	buckets []uint64
 	mask    uint64
 	size    int
-	maxLoad float64
 }
 
-// New returns a set sized for capacity elements at the given maximum load
-// factor (0 < maxLoad <= 0.9). The paper's configuration is maxLoad=0.5.
-func New(capacity int, maxLoad float64) *Set {
-	if maxLoad <= 0 || maxLoad > 0.9 {
-		panic("hashset: max load factor out of range")
-	}
-	s := &Set{maxLoad: maxLoad}
+// New returns a set sized for capacity elements at the load factor 1/2.
+func New(capacity int) *Set {
+	s := &Set{}
 	s.init(capacity)
 	return s
 }
 
-// NewDefault returns a set with the paper's default load factor 1/2.
-func NewDefault(capacity int) *Set { return New(capacity, 0.5) }
-
 func (s *Set) init(capacity int) {
-	want := int(float64(capacity)/s.maxLoad) + 1
+	want := 2*capacity + 1
 	nb := 1 << uint(bits.Len(uint(want)))
 	if nb < 16 {
 		nb = 16
@@ -55,8 +48,8 @@ func (s *Set) init(capacity int) {
 }
 
 // FromEdges builds a set containing the edges of the slice.
-func FromEdges(edges []graph.Edge, maxLoad float64) *Set {
-	s := New(len(edges), maxLoad)
+func FromEdges(edges []graph.Edge) *Set {
+	s := New(len(edges))
 	for _, e := range edges {
 		s.Insert(e)
 	}
@@ -89,9 +82,9 @@ func (s *Set) Contains(e graph.Edge) bool {
 }
 
 // Insert adds e and reports whether it was absent. The set grows
-// automatically when the load factor would be exceeded.
+// automatically when the load factor would exceed 1/2.
 func (s *Set) Insert(e graph.Edge) bool {
-	if float64(s.size+1) > s.maxLoad*float64(len(s.buckets)) {
+	if 2*(s.size+1) > len(s.buckets) {
 		s.grow()
 	}
 	i := s.slot(e)
@@ -188,16 +181,16 @@ func (s *Set) SampleBucket(src rng.Source) graph.Edge {
 	}
 }
 
-// touchSink defeats dead-load elimination in Touch.
-var touchSink uint64
-
 // Touch reads the home bucket of e (and its successor), pulling the probe
 // chain's first cache lines into the cache ahead of a later operation.
 // It is the pure-Go analogue of the prefetch instructions of §5.4: a
-// hint only, with no effect on semantics.
+// hint only, with no effect on semantics. The loads are atomic only so
+// the compiler cannot drop them; their values are discarded, so sets
+// touched from different goroutines share no state.
 func (s *Set) Touch(e graph.Edge) {
 	i := s.slot(e)
-	touchSink += s.buckets[i] + s.buckets[(i+1)&s.mask]
+	_ = atomic.LoadUint64(&s.buckets[i])
+	_ = atomic.LoadUint64(&s.buckets[(i+1)&s.mask])
 }
 
 // ForEach calls fn for every stored edge in unspecified order.

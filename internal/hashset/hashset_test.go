@@ -1,6 +1,7 @@
 package hashset
 
 import (
+	"sync"
 	"testing"
 
 	"gesmc/internal/graph"
@@ -10,7 +11,7 @@ import (
 func edge(u, v uint32) graph.Edge { return graph.MakeEdge(u, v) }
 
 func TestInsertContainsErase(t *testing.T) {
-	s := NewDefault(4)
+	s := New(4)
 	e := edge(1, 2)
 	if s.Contains(e) {
 		t.Fatal("empty set contains edge")
@@ -39,7 +40,7 @@ func TestInsertContainsErase(t *testing.T) {
 // sequence and compares every answer against a map-based model.
 func TestModelEquivalence(t *testing.T) {
 	src := rng.NewMT19937(555)
-	s := NewDefault(8) // deliberately small: forces growth
+	s := New(8) // deliberately small: forces growth
 	model := map[graph.Edge]struct{}{}
 	const universe = 64 // few distinct keys: plenty of collisions
 	for op := 0; op < 200000; op++ {
@@ -77,7 +78,7 @@ func TestModelEquivalence(t *testing.T) {
 func TestBackwardShiftChains(t *testing.T) {
 	// Build a long collision chain, delete from its middle, and verify
 	// every remaining element is still reachable.
-	s := NewDefault(1024)
+	s := New(1024)
 	edges := make([]graph.Edge, 0, 300)
 	for i := uint32(0); i < 300; i++ {
 		e := edge(i, i+1000)
@@ -98,7 +99,7 @@ func TestBackwardShiftChains(t *testing.T) {
 }
 
 func TestGrowPreservesContent(t *testing.T) {
-	s := New(2, 0.5)
+	s := New(2)
 	var edges []graph.Edge
 	for i := uint32(0); i < 5000; i++ {
 		e := edge(i, i+1)
@@ -117,7 +118,7 @@ func TestGrowPreservesContent(t *testing.T) {
 
 func TestFromEdges(t *testing.T) {
 	edges := []graph.Edge{edge(0, 1), edge(2, 3), edge(1, 2)}
-	s := FromEdges(edges, 0.5)
+	s := FromEdges(edges)
 	for _, e := range edges {
 		if !s.Contains(e) {
 			t.Fatalf("missing %v", e)
@@ -129,7 +130,7 @@ func TestFromEdges(t *testing.T) {
 }
 
 func TestSampleBucketUniform(t *testing.T) {
-	s := NewDefault(64)
+	s := New(64)
 	k := 16
 	for i := 0; i < k; i++ {
 		s.Insert(edge(uint32(i), uint32(i+100)))
@@ -155,7 +156,7 @@ func TestSampleBucketUniform(t *testing.T) {
 }
 
 func TestForEach(t *testing.T) {
-	s := NewDefault(16)
+	s := New(16)
 	want := map[graph.Edge]bool{edge(0, 1): true, edge(5, 9): true}
 	for e := range want {
 		s.Insert(e)
@@ -173,7 +174,7 @@ func TestForEach(t *testing.T) {
 }
 
 func TestLoadFactorRespected(t *testing.T) {
-	s := New(100, 0.5)
+	s := New(100)
 	for i := uint32(0); i < 100; i++ {
 		s.Insert(edge(i, i+1))
 	}
@@ -183,7 +184,7 @@ func TestLoadFactorRespected(t *testing.T) {
 }
 
 func BenchmarkInsertEraseCycle(b *testing.B) {
-	s := NewDefault(1 << 16)
+	s := New(1 << 16)
 	for i := uint32(0); i < 1<<15; i++ {
 		s.Insert(edge(i, i+1<<16))
 	}
@@ -198,7 +199,7 @@ func BenchmarkInsertEraseCycle(b *testing.B) {
 }
 
 func BenchmarkContains(b *testing.B) {
-	s := NewDefault(1 << 16)
+	s := New(1 << 16)
 	for i := uint32(0); i < 1<<15; i++ {
 		s.Insert(edge(i, i+1<<16))
 	}
@@ -215,7 +216,7 @@ func BenchmarkContains(b *testing.B) {
 }
 
 func BenchmarkSampleBucket(b *testing.B) {
-	s := NewDefault(1 << 16)
+	s := New(1 << 16)
 	for i := uint32(0); i < 1<<15; i++ {
 		s.Insert(edge(i, i+1<<16))
 	}
@@ -226,4 +227,21 @@ func BenchmarkSampleBucket(b *testing.B) {
 		sink = s.SampleBucket(src)
 	}
 	_ = sink
+}
+
+// TestTouchConcurrentSets: sets owned by different goroutines share
+// no state, pre-touches included (run under -race).
+func TestTouchConcurrentSets(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := New(64)
+			for i := uint32(0); i < 1000; i++ {
+				s.Touch(edge(i, i+1))
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -229,8 +229,9 @@ func (r *Request) Validate() error {
 	if r.Thinning < 0 {
 		return &RequestError{Field: "thinning", Reason: "must be non-negative"}
 	}
-	if r.SwapsPerEdge < 0 || math.IsInf(r.SwapsPerEdge, 0) || math.IsNaN(r.SwapsPerEdge) {
-		return &RequestError{Field: "swaps_per_edge", Reason: "must be finite and non-negative"}
+	if !(r.SwapsPerEdge >= 0 && r.SwapsPerEdge <= gesmc.MaxSwapsPerEdge) {
+		return &RequestError{Field: "swaps_per_edge",
+			Reason: fmt.Sprintf("must be non-negative and at most %g", gesmc.MaxSwapsPerEdge)}
 	}
 	if r.ResumeFrom < 0 {
 		return &RequestError{Field: "resume_from", Reason: "must be non-negative"}

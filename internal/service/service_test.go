@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -502,5 +503,34 @@ func TestRequestValidationErrors(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSwapsPerEdgeOverflowIs400: a swaps_per_edge whose burn-in, ⌈2s⌉
+// supersteps, would not fit an int is the client's fault — a typed 400
+// naming the field, never an internal error from an overflowed
+// superstep count.
+func TestSwapsPerEdgeOverflowIs400(t *testing.T) {
+	svc := New(Config{WorkerBudget: 1})
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	for _, body := range []string{
+		`{"degrees":[2,2,2,2],"swaps_per_edge":1e300}`,
+		`{"degrees":[2,2,2,2],"swaps_per_edge":5e18}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sample", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e wire.Error
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding error body: %v", body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" || !strings.Contains(e.Error, "swaps_per_edge") {
+			t.Errorf("%s: status %d, body %+v; want 400 bad_request naming swaps_per_edge", body, resp.StatusCode, e)
+		}
 	}
 }

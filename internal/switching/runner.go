@@ -5,13 +5,6 @@ import (
 	"gesmc/internal/graph"
 )
 
-// pipelineDepth is the batch size of the §5.4-style software pipeline
-// in the register and apply phases: hash buckets of the next switches
-// are touched ahead of the operations that probe them. Touching is only
-// a memory hint — staleness cannot affect correctness, exactly as with
-// hardware prefetches.
-const pipelineDepth = 8
-
 // Runner executes supersteps of source-independent switches in parallel
 // (Algorithm 1, ParallelSuperstep), generically over the edge encoding:
 // Runner[graph.Edge] is the paper's undirected kernel, Runner[digraph.Arc]
@@ -38,12 +31,6 @@ type Runner[E EdgeKind[E]] struct {
 	E   []E
 	Set *conc.EdgeSet
 
-	// Prefetch enables the §5.4 pre-touch pipeline in every phase:
-	// batched bucket touches ahead of the phase-1 tuple stores and the
-	// phase-3 applies, and the round driver's decide-cursor pre-touch.
-	// Results are bit-identical with the pipeline on or off.
-	Prefetch bool
-
 	// Veto is the local-constraint hook of the constraint subsystem:
 	// when non-nil, a switch whose (sources, targets) it reports true
 	// for is decided illegal. The hook runs concurrently from every
@@ -67,7 +54,6 @@ type Runner[E EdgeKind[E]] struct {
 	rebuildFn  func(worker, lo, hi int)
 	decideFn   Decide
 	publishFn  Publish
-	preTouchFn PreTouch
 
 	// Fused dispatch plans, built once; only the pass lengths mutate
 	// per superstep. applyPlan runs phase 3's erase and insert on a
@@ -109,7 +95,6 @@ func NewRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
 	r.rebuildFn = r.compactRebuild
 	r.decideFn = r.decideItem
 	r.publishFn = r.publishItem
-	r.preTouchFn = r.preTouchItem
 	r.applyPlan.Passes = []conc.FusedPass{
 		{Fn: r.eraseFn},
 		{Fn: r.insertFn},
@@ -141,11 +126,6 @@ func (r *Runner[E]) Run(switches []Switch) {
 	// rounds dispatch individually. Statuses publish into the
 	// dependency table, the linearization point observed by dependent
 	// switches.
-	if r.Prefetch {
-		r.PreTouch = r.preTouchFn
-	} else {
-		r.PreTouch = nil
-	}
 	r.RoundDriver.RunFused(n, r.phase1Fn, n, r.decideFn, r.publishFn)
 	for i := range r.vetoTot {
 		r.Stats.Vetoed += r.vetoTot[i].v
@@ -170,50 +150,19 @@ func (r *Runner[E]) Run(switches []Switch) {
 	r.switches = nil
 }
 
-// phase1 registers the dependency tuples of switches [lo, hi). With
-// Prefetch on, the table buckets of a batch are touched before the
-// batch's stores (the targets are recomputed in the store pass — two
-// cheap ALU evaluations beat spilling them through memory).
+// phase1 registers the dependency tuples of switches [lo, hi).
 func (r *Runner[E]) phase1(_, lo, hi int) {
 	t := r.table
-	sw := r.switches
-	if r.Prefetch {
-		for base := lo; base < hi; base += pipelineDepth {
-			bh := base + pipelineDepth
-			if bh > hi {
-				bh = hi
-			}
-			for k := base; k < bh; k++ {
-				s := sw[k]
-				e1 := r.E[s.I]
-				e2 := r.E[s.J]
-				t3, t4 := e1.Targets(e2, s.G)
-				t.Touch(graph.Edge(e1))
-				t.Touch(graph.Edge(e2))
-				t.Touch(graph.Edge(t3))
-				t.Touch(graph.Edge(t4))
-			}
-			for k := base; k < bh; k++ {
-				r.storeTuples(k)
-			}
-		}
-		return
-	}
 	for k := lo; k < hi; k++ {
-		r.storeTuples(k)
+		sw := r.switches[k]
+		e1 := r.E[sw.I]
+		e2 := r.E[sw.J]
+		t3, t4 := e1.Targets(e2, sw.G)
+		t.Store(k, 0, graph.Edge(e1), conc.KindErase)
+		t.Store(k, 1, graph.Edge(e2), conc.KindErase)
+		t.Store(k, 2, graph.Edge(t3), conc.KindInsert)
+		t.Store(k, 3, graph.Edge(t4), conc.KindInsert)
 	}
-}
-
-func (r *Runner[E]) storeTuples(k int) {
-	sw := r.switches[k]
-	t := r.table
-	e1 := r.E[sw.I]
-	e2 := r.E[sw.J]
-	t3, t4 := e1.Targets(e2, sw.G)
-	t.Store(k, 0, graph.Edge(e1), conc.KindErase)
-	t.Store(k, 1, graph.Edge(e2), conc.KindErase)
-	t.Store(k, 2, graph.Edge(t3), conc.KindInsert)
-	t.Store(k, 3, graph.Edge(t4), conc.KindInsert)
 }
 
 // decideItem adapts decide to the driver's item signature.
@@ -226,29 +175,10 @@ func (r *Runner[E]) publishItem(k int32, st uint32) {
 	r.table.SetStatus(int(k), st)
 }
 
-// preTouchItem pre-touches the table chains and edge-set buckets that
-// deciding switch k will probe (its two target edges).
-func (r *Runner[E]) preTouchItem(_ int, k int32) {
-	t := r.table
-	base := 4 * int(k)
-	t3 := graph.Edge(t.Key(base + 2))
-	t4 := graph.Edge(t.Key(base + 3))
-	t.Touch(t3)
-	t.Touch(t4)
-	r.Set.Touch(t3)
-	r.Set.Touch(t4)
-}
-
 // phase3Erase applies the accepted erasures of switches [lo, hi).
 func (r *Runner[E]) phase3Erase(_, lo, hi int) {
 	t := r.table
-	pf := r.Prefetch
 	for k := lo; k < hi; k++ {
-		if pf && k+pipelineDepth < hi && t.StatusOf(k+pipelineDepth) == conc.StatusLegal {
-			b := 4 * (k + pipelineDepth)
-			r.Set.Touch(graph.Edge(t.Key(b)))
-			r.Set.Touch(graph.Edge(t.Key(b + 1)))
-		}
 		if t.StatusOf(k) != conc.StatusLegal {
 			continue
 		}
@@ -261,13 +191,7 @@ func (r *Runner[E]) phase3Erase(_, lo, hi int) {
 // phase3Insert applies the accepted insertions of switches [lo, hi).
 func (r *Runner[E]) phase3Insert(_, lo, hi int) {
 	t := r.table
-	pf := r.Prefetch
 	for k := lo; k < hi; k++ {
-		if pf && k+pipelineDepth < hi && t.StatusOf(k+pipelineDepth) == conc.StatusLegal {
-			b := 4 * (k + pipelineDepth)
-			r.Set.Touch(graph.Edge(t.Key(b + 2)))
-			r.Set.Touch(graph.Edge(t.Key(b + 3)))
-		}
 		if t.StatusOf(k) != conc.StatusLegal {
 			continue
 		}

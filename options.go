@@ -15,8 +15,6 @@ type samplerConfig struct {
 	burnIn       int  // supersteps before the first sample; 0 derives from swapsPerEdge
 	thinning     int  // supersteps between samples; 0 derives from burn-in
 	loopProb     float64
-	chunkBytes   int
-	prefetch     bool
 	progress     func(Progress)
 	constraints  []Constraint
 }
@@ -93,12 +91,17 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
+// MaxSwapsPerEdge is the largest target WithSwapsPerEdge accepts, so
+// that the burn-in it implies, ⌈2s⌉ supersteps, fits an int.
+const MaxSwapsPerEdge float64 = math.MaxInt >> 2
+
 // WithSwapsPerEdge sets the burn-in length indirectly: enough supersteps
 // that the expected number of switch attempts is s per edge. The paper
 // (and the empirical literature it cites) recommends 10-30. Default: 10.
+// Values outside (0, MaxSwapsPerEdge] are rejected.
 func WithSwapsPerEdge(s float64) Option {
 	return func(c *samplerConfig) error {
-		if !(s > 0) || math.IsInf(s, 0) {
+		if !(s > 0) || s > MaxSwapsPerEdge {
 			return fmt.Errorf("%w: got %v", ErrInvalidSwapsPerEdge, s)
 		}
 		c.swapsPerEdge = s
@@ -140,39 +143,6 @@ func WithLoopProb(p float64) Option {
 			return fmt.Errorf("%w: got %v", ErrInvalidLoopProb, p)
 		}
 		c.loopProb = p
-		return nil
-	}
-}
-
-// WithPrefetch enables the hash-bucket pre-touch pipeline (§5.4): the
-// buckets and dependency-table chains an upcoming operation will probe
-// are loaded a few items ahead, hiding the cache misses of the hot
-// probing loops. It applies to every chain — the sequential software
-// pipeline of SeqES, and the parallel kernel's batched phase-1 stores,
-// decide-cursor pre-touch, and phase-3 applies used by ParES,
-// ParGlobalES (undirected, directed, bipartite), and the
-// Curveball/GlobalCurveball trade chains. Results are bit-identical
-// with the pipeline on or off. Default: off.
-func WithPrefetch(on bool) Option {
-	return func(c *samplerConfig) error {
-		c.prefetch = on
-		return nil
-	}
-}
-
-// WithChunkBytes overrides the dynamic-chunk grain of the parallel
-// kernels: each work-stealing claim made by a worker covers roughly
-// this many bytes of edge data. The default derives the grain from the
-// detected cache topology (a quarter of the per-core L2, capped by the
-// workers' LLC share) and is right for almost every machine; the knob
-// exists for experiments and unusual hardware. Results are
-// bit-identical for any grain. Zero keeps the default.
-func WithChunkBytes(bytes int) Option {
-	return func(c *samplerConfig) error {
-		if bytes < 0 {
-			return fmt.Errorf("%w: got %d", ErrInvalidChunkBytes, bytes)
-		}
-		c.chunkBytes = bytes
 		return nil
 	}
 }

@@ -150,8 +150,6 @@ type Options struct {
 	// LoopProb is the P_L of G-ES-MC (Definition 3); default 1e-6.
 	// Values outside [0, 1] are rejected with ErrInvalidLoopProb.
 	LoopProb float64
-	// Prefetch enables the hash-bucket pre-touch pipeline (§5.4).
-	Prefetch bool
 }
 
 func (o Options) supersteps() int {
@@ -175,9 +173,6 @@ func (o Options) samplerOptions() []Option {
 	}
 	if o.LoopProb != 0 {
 		opts = append(opts, WithLoopProb(o.LoopProb))
-	}
-	if o.Prefetch {
-		opts = append(opts, WithPrefetch(true))
 	}
 	return opts
 }

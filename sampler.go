@@ -461,8 +461,6 @@ func newSwitchEngine[E switching.EdgeKind[E]](t switchTarget, n int, edges []E, 
 		Workers:    cfg.workers,
 		Seed:       cfg.seed,
 		LoopProb:   cfg.loopProb,
-		Prefetch:   cfg.prefetch,
-		ChunkBytes: cfg.chunkBytes,
 		Constraint: spec,
 	})
 	switch {
@@ -614,14 +612,9 @@ func (g *Graph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
 		if g.g.M() < 2 {
 			return nil, fmt.Errorf("%w: m=%d", ErrGraphTooSmall, g.g.M())
 		}
-		eng := curveball.NewEngine(g.g, cfg.workers, cfg.seed)
-		eng.Prefetch = cfg.prefetch
-		if cfg.chunkBytes > 0 {
-			eng.SetChunkBytes(cfg.chunkBytes)
-		}
 		return &curveballEngine{
 			g:      g,
-			eng:    eng,
+			eng:    curveball.NewEngine(g.g, cfg.workers, cfg.seed),
 			global: cfg.algorithm == GlobalCurveball,
 		}, nil
 	}

@@ -3,6 +3,7 @@ package gesmc
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -20,6 +21,10 @@ func TestNewSamplerOptionValidation(t *testing.T) {
 		{"zero thinning", []Option{WithThinning(0)}, ErrInvalidThinning},
 		{"zero burn-in", []Option{WithBurnIn(0)}, ErrInvalidBurnIn},
 		{"negative swaps", []Option{WithSwapsPerEdge(-2)}, ErrInvalidSwapsPerEdge},
+		{"infinite swaps", []Option{WithSwapsPerEdge(math.Inf(1))}, ErrInvalidSwapsPerEdge},
+		// ⌈2s⌉ supersteps would overflow an int.
+		{"swaps 5e18", []Option{WithSwapsPerEdge(5e18)}, ErrInvalidSwapsPerEdge},
+		{"swaps 1e300", []Option{WithSwapsPerEdge(1e300)}, ErrInvalidSwapsPerEdge},
 		{"bogus algorithm", []Option{WithAlgorithm(Algorithm(99))}, ErrUnknownAlgorithm},
 	}
 	for _, c := range cases {
@@ -27,6 +32,16 @@ func TestNewSamplerOptionValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
+
+	// The largest accepted target still yields a positive burn-in.
+	s, err := NewSampler(g.Clone(), WithSwapsPerEdge(MaxSwapsPerEdge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.BurnIn() < 1 || s.Thinning() < 1 {
+		t.Errorf("swaps=MaxSwapsPerEdge: burn-in %d, thinning %d", s.BurnIn(), s.Thinning())
+	}
+	s.Close()
 
 	if _, err := NewSampler(nil); !errors.Is(err, ErrNilTarget) {
 		t.Errorf("nil target: err = %v", err)
